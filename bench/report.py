@@ -57,7 +57,7 @@ def format_summary(summary: dict) -> str:
     for w, sides in summary.items():
         for name, s in sides["end_to_end"].items():
             bound = END_TO_END[name]["bound"]
-            flag = "" if name == "setup_s" or s["spread"] < bound / 3 else "  (spread >= bound/3)"
+            flag = "" if s["spread"] < bound / 3 else "  (spread >= bound/3)"
             lines.append(
                 f"{w:12} {name:16} {s['n']:>3} {s['median']:>12.5g} {s['q1']:>12.5g} "
                 f"{s['q3']:>12.5g} {s['spread']:>7.3f} {bound:>6}{flag}"

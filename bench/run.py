@@ -6,14 +6,14 @@ previous one has returned, until ``--seconds`` have passed (after at
 least one pass over the workload's calls).  Standard
 output is captured and checked by ``checker.py`` after the timed phase.
 
-    python3 bench/run.py --workload cli-small --seed 1 --seconds 20 --trace 0
+    python3 bench/run.py --workload cli-small --seed 1 --seconds 30 --trace 0
 
 With ``--trace 0`` the last line of standard output is a JSON object whose
 metrics are the end-to-end metrics of BENCHMARK.json.  With ``--trace 1``
-the run spends half of ``--seconds`` on the untraced timed phase, then
-replays the same calls with the span tracer installed and reports the
-per-layer metrics, including the traced/untraced wall-time ratio.  The exit code is 0 only when every
-output was correct.
+every call is made twice in a row, untraced and then with the span tracer
+installed, and the run reports the per-layer metrics, including the ratio
+of traced to untraced time.  The exit code is 0 only when every output was
+correct.
 
     python3 bench/run.py --sweep out.json --runs 10 --first-seed 1
     python3 bench/run.py --compare parent.json child.json
@@ -51,11 +51,16 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 WORK = ROOT / ".bench_work"
 
-SETUP_REPEATS = 7
+# set-ups run in fresh interpreters, half before and half after the timed
+# phase, so that their median spans the run rather than one second of it
+SETUP_REPEATS = 24
 # the highest latency percentile with at least ten samples beyond it: runs
-# hold thousands of cli-small calls and about 130 synth-large calls; an
-# oracle pass holds five calls, of which the slowest (the survey) is reported
-TAIL_PERCENTILE = {"cli-small": 99, "synth-large": 90, "oracle": 100}
+# hold thousands of cli-small calls, about 200 synth-large calls and 60 to
+# 70 oracle calls.  An oracle pass is a survey, P7 and C6, a third of the
+# calls each; P7 is the slowest, so p80 falls inside the P7 third and p50
+# inside the other two, whose times overlap, rather than on a boundary
+# where it would jump from one kind of call to another
+TAIL_PERCENTILE = {"cli-small": 99, "synth-large": 90, "oracle": 80}
 
 
 # -- driving the package ----------------------------------------------
@@ -76,11 +81,6 @@ def load_package():
     return cli
 
 
-def purge_package() -> None:
-    for name in [m for m in sys.modules if m == "locinv" or m.startswith("locinv.")]:
-        del sys.modules[name]
-
-
 def invoke(cli, argv: list[str]) -> tuple[object, str, float]:
     """Exit code (or exception text), captured stdout, and seconds for one call."""
     out, err = io.StringIO(), io.StringIO()
@@ -96,53 +96,60 @@ def invoke(cli, argv: list[str]) -> tuple[object, str, float]:
     return rc, out.getvalue(), t1 - t0
 
 
-def setup(warmup_argv: list[str]) -> tuple[float, object, list[tuple[object, str]]]:
-    """Median over repeats of importing ``locinv.cli`` plus one warm-up call."""
+def setup(warmup_argv: list[str], repeats: int) -> tuple[list[float], list[tuple[object, str]]]:
+    """Seconds for ``repeats`` fresh interpreters to import ``locinv.cli``
+    and make one warm-up call, and each warm-up's exit code and output."""
     times, outputs = [], []
-    cli = None
-    for _ in range(SETUP_REPEATS):
-        purge_package()
-        gc.collect()
-        t0 = time.perf_counter()
-        cli = load_package()
-        rc, out, _ = invoke(cli, warmup_argv)
-        times.append(time.perf_counter() - t0)
-        outputs.append((rc, out))
-    return statistics.median(times), cli, outputs
+    for _ in range(repeats):
+        proc = subprocess.run(
+            [sys.executable, str(HERE / "setup_child.py"), str(SRC), *warmup_argv],
+            cwd=ROOT, capture_output=True, text=True, timeout=120,
+        )
+        if proc.returncode != 0:
+            raise SystemExit(f"bench: set-up process failed: {proc.stderr.strip()[-2000:]}")
+        res = json.loads(proc.stdout)
+        times.append(res["seconds"])
+        outputs.append((res["rc"], res["out"]))
+    return times, outputs
 
 
-def closed_loop(cli, argvs: list[list[str]], seconds: float) -> tuple[list, float]:
+def closed_loop(cli, argvs: list[list[str]], seconds: float, tr: tracer.Tracer | None = None):
     """Call ``argvs`` in turn: the whole list once, then each call while its
     last duration still fits in ``seconds``.
 
-    Returns ``(index, rc, stdout, seconds)`` records and the loop's wall time.
+    With a tracer, each call is made twice in a row, untraced and traced,
+    so that drift in the machine's speed weighs on both alike; which of the
+    two goes first alternates from call to call, so that neither side always
+    finds the other's caches and heap warm.  Returns the untraced and the
+    traced ``(index, rc, stdout, seconds)`` records and the loop's wall time.
     """
+    modules = {m: sys.modules[m] for m in sys.modules if m.startswith("locinv.")}
+    sides = (False,) if tr is None else (False, True)
     last: dict[int, float] = {}
-    records = []
+    records, traced = [], []
     seen: dict[str, str] = {}  # one copy of each distinct output, so memory stays flat
     gc.collect()
     start = time.perf_counter()
     i = 0
     while True:
         k = i % len(argvs)
-        if i >= len(argvs) and time.perf_counter() - start + last[k] > seconds:
+        t0 = time.perf_counter()
+        if i >= len(argvs) and t0 - start + last[k] > seconds:
             break
-        rc, out, dt = invoke(cli, argvs[k])
-        records.append((k, rc, seen.setdefault(out, out), dt))
-        last[k] = dt
+        for traced_side in sides if i % 2 == 0 else sides[::-1]:
+            if traced_side:
+                tr.install(modules)
+                try:
+                    rc, out, dt = invoke(cli, argvs[k])
+                finally:
+                    tr.uninstall()
+                traced.append((k, rc, seen.setdefault(out, out), dt))
+            else:
+                rc, out, dt = invoke(cli, argvs[k])
+                records.append((k, rc, seen.setdefault(out, out), dt))
+        last[k] = time.perf_counter() - t0
         i += 1
-    return records, time.perf_counter() - start
-
-
-def replay_calls(cli, argvs: list[list[str]], indices: list[int]) -> tuple[list, float]:
-    """Make exactly the calls ``indices``, in order, and time the whole sequence."""
-    records = []
-    gc.collect()
-    start = time.perf_counter()
-    for k in indices:
-        rc, out, dt = invoke(cli, argvs[k])
-        records.append((k, rc, out, dt))
-    return records, time.perf_counter() - start
+    return records, traced, time.perf_counter() - start
 
 
 def count_failures(calls, records) -> tuple[int, list[str]]:
@@ -181,23 +188,21 @@ def run_once(name: str, seed: int, seconds: float, trace: bool) -> int:
     workdir = WORK / f"{name}-{seed}-{os.getpid()}"
     try:
         argvs, warmup_argv = workloads.write_inputs(wl, workdir)
-        setup_s, cli, warm = setup(warmup_argv)
-        # a traced run splits its time between the untraced and traced phases
-        records, wall = closed_loop(cli, argvs, seconds / 2 if trace else seconds)
-        checked = records
-        if trace:
-            tr = tracer.Tracer()
-            tr.install({m: sys.modules[m] for m in sys.modules if m.startswith("locinv.")})
-            try:
-                traced, traced_wall = replay_calls(cli, argvs, [r[0] for r in records])
-            finally:
-                tr.uninstall()
-            checked = records + traced
+        setup_times, warm = setup(warmup_argv, SETUP_REPEATS // 2)
+        cli = load_package()
+        rc, out, _ = invoke(cli, warmup_argv)  # untimed, so lazy set-up is done before timing
+        warm.append((rc, out))
+        tr = tracer.Tracer() if trace else None
+        records, traced, wall = closed_loop(cli, argvs, seconds, tr)
+        more_times, more_warm = setup(warmup_argv, SETUP_REPEATS - SETUP_REPEATS // 2)
+        setup_times += more_times
+        warm += more_warm
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
         with contextlib.suppress(OSError):
             WORK.rmdir()
 
+    checked = records + traced
     failed, reasons = count_failures(wl.calls, checked)
     for rc, out in warm:
         reason = checker.check(wl.warmup, rc, out)
@@ -213,11 +218,11 @@ def run_once(name: str, seed: int, seconds: float, trace: bool) -> int:
             failed += 1
             reasons.append(f"trace: self times miss a root span's duration by {residual:.3g} s")
         metrics = tracer.layer_metrics(tr)
-        metrics["trace_overhead_ratio"] = traced_wall / wall
+        metrics["trace_overhead_ratio"] = sum(r[3] for r in traced) / sum(r[3] for r in records)
     else:
         latencies = sorted(r[3] for r in records)
         metrics = {
-            "setup_s": setup_s,
+            "setup_s": statistics.median(setup_times),
             "ops_per_s": len(records) / wall,
             "latency_p50_ms": statistics.median(latencies) * 1e3,
             "latency_tail_ms": percentile(latencies, TAIL_PERCENTILE[name]) * 1e3,
@@ -260,9 +265,9 @@ def run_child(name: str, seed: int, seconds: int, trace: int) -> dict:
     return entry
 
 
-def sweep(out: Path, names: list[str], runs: int, first_seed: int, traced: int, seconds: int) -> int:
+def sweep(out: Path, runs: int, first_seed: int, traced: int, seconds: int) -> int:
     entries = []
-    for name in names:
+    for name in workloads.WORKLOADS:
         for trace, count in ((0, runs), (1, traced)):
             for seed in range(first_seed, first_seed + count):
                 entry = run_child(name, seed, seconds, trace)
@@ -295,20 +300,15 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seconds", type=int, default=report.RUN_SECONDS)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--runs", type=int, default=10, help="untraced runs per workload (sweep)")
-    ap.add_argument("--traced-runs", type=int, default=1, help="traced runs per workload (sweep)")
+    ap.add_argument("--traced-runs", type=int, default=3, help="traced runs per workload (sweep)")
     ap.add_argument("--first-seed", type=int, default=1, help="seed of the first run (sweep)")
-    ap.add_argument("--workloads", default=",".join(workloads.WORKLOADS), help="comma-separated (sweep)")
     args = ap.parse_args(argv)
     if args.compare:
         parent, child = (json.loads(p.read_text(encoding="utf-8")) for p in args.compare)
         print(report.format_compare(parent, child))
         return 0
     if args.sweep:
-        names = [w for w in args.workloads.split(",") if w]
-        unknown = sorted(set(names) - set(workloads.WORKLOADS))
-        if unknown:
-            ap.error(f"unknown workloads {unknown}")
-        return sweep(args.sweep, names, args.runs, args.first_seed, args.traced_runs, args.seconds)
+        return sweep(args.sweep, args.runs, args.first_seed, args.traced_runs, args.seconds)
     return run_once(args.workload, args.seed, args.seconds, bool(args.trace))
 
 

@@ -135,6 +135,22 @@ def test_checker_pins_the_survey_summary():
         assert checker.check(call, 0, bad) is not None, key
 
 
+def test_full_scale_oracle_pins_hold(tmp_path):
+    # the oracle workload runs at n <= 7 with sub-second calls; these are the
+    # larger searches it leaves out (about 20 s), with their known answers
+    cycle7 = rows_from_edges(7, [(i, (i + 1) % 7) for i in range(7)])
+    calls = [
+        Call("survey", 0, (), {"max_n": 6, "classes": {2: 1, 3: 2, 4: 6, 5: 21, 6: 112}}),
+        Call("exact", 7, cycle7, {"expect": 21}),
+    ]
+    cli = run.load_package()
+    for call in calls:
+        path = tmp_path / "g.txt"
+        path.write_text(call.edge_list(), encoding="utf-8")
+        rc, out, _ = run.invoke(cli, call.argv(str(path)))
+        assert checker.check(call, rc, out) is None, call.kind
+
+
 def test_tampered_word_counts_as_failed():
     calls = (Call("reverse", 3, P3),)
     tampered = (1,) + P3_WORD[1:]
@@ -194,3 +210,23 @@ def test_tracer_wraps_every_site_and_restores_it():
     finally:
         tr.uninstall()
     assert all(getattr(mod, attr) is fn for (mod, attr), fn in zip(sites, originals))
+
+
+def test_setup_runs_in_fresh_interpreters(tmp_path):
+    wl = workloads.build("cli-small", 1)
+    _, warmup_argv = workloads.write_inputs(wl, tmp_path)
+    times, outputs = run.setup(warmup_argv, 3)
+    assert len(times) == len(outputs) == 3 and min(times) > 0
+    assert all(checker.check(wl.warmup, rc, out) is None for rc, out in outputs)
+
+
+def test_traced_loop_pairs_every_call(tmp_path):
+    wl = workloads.build("cli-small", 1)
+    argvs, _ = workloads.write_inputs(wl, tmp_path)
+    cli = run.load_package()
+    tr = tracer.Tracer()
+    records, traced, _ = run.closed_loop(cli, argvs[:6], 0, tr)
+    assert [r[0] for r in records] == [r[0] for r in traced] == list(range(6))
+    assert [r[1:3] for r in records] == [r[1:3] for r in traced]
+    assert [s[0] for s in tr.spans].count("cli.main") == 6
+    assert not hasattr(cli.main, "__wrapped__"), "the tracer is uninstalled after each traced call"
