@@ -28,6 +28,7 @@ from .graph_core import (
     local_complement,
     local_inversion,
     reduce_word,
+    replay,
 )
 from .partitioner import (
     EdgePartition,

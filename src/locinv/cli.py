@@ -164,7 +164,7 @@ def _verify_and_report(g: Graph, cw: CertifiedWord) -> int:
     except VerificationError as exc:
         print(f"verification: FAILED: {exc}", file=sys.stderr)
         return 1
-    print("verification: ok (17 colorings)")
+    print("verification: ok (exact replay)")
     return 0
 
 
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reverse", help="synthesize a whole-graph color reversal word")
     p.add_argument("-i", "--input", required=True, help="edge-list file")
     p.add_argument("--reduce", action="store_true", help="print the freely reduced word")
-    p.add_argument("--verify", action="store_true", help="replay under 17 colorings")
+    p.add_argument("--verify", action="store_true", help="check the word by exact replay")
     p.add_argument("--labels", help="comma-separated vertex names for word output")
     p.set_defaults(func=_cmd_reverse)
 
@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="from_colors", required=True, metavar="COLORS")
     p.add_argument("--to", dest="to_colors", required=True, metavar="COLORS")
     p.add_argument("--reduce", action="store_true")
-    p.add_argument("--verify", action="store_true")
+    p.add_argument("--verify", action="store_true", help="check the word by exact replay")
     p.add_argument("--labels")
     p.set_defaults(func=_cmd_transform)
 
@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("survey", help="exact reports for all small connected graphs")
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     p.add_argument("--graph6", help="read graphs from a graph6 file instead of enumerating")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most the CPU count")
     p.set_defaults(func=_cmd_survey)
 
     p = sub.add_parser("gadget", help="print a raw gadget word")

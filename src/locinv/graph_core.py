@@ -12,8 +12,10 @@ changes the action of a word; :func:`reduce_word` computes the unique
 freely reduced form.
 
 Adjacency is stored as one bitmask per vertex, which makes a local
-complementation cost O(deg) integer operations.  All values are immutable;
-operations return new values.
+complementation cost O(deg) integer operations.  :func:`replay` is the one
+word-replay loop; it also yields the flipped set, which does not depend on
+the starting coloring.  All values are immutable; operations return new
+values.
 """
 
 from __future__ import annotations
@@ -266,14 +268,38 @@ def local_complement(g: Graph, a: int) -> Graph:
     return Graph(g.n, _lc_rows(g.rows, a))
 
 
+def replay(rows: Sequence[int], w: Iterable[int]) -> tuple[int, tuple[int, ...]]:
+    """Replay ``w`` on adjacency ``rows``; return (flip mask, final rows).
+
+    The flip mask is the XOR of ``rows[a]`` taken at each letter ``a`` as it
+    is applied, which is the set of vertices whose color the word negates
+    on every starting coloring.  One list is updated in place, so a letter
+    costs O(deg a) integer operations.  Raises :class:`ValueError` on a
+    letter outside ``0..n-1``.
+    """
+    n = len(rows)
+    out = list(rows)
+    flipped = 0
+    for a in w:
+        if not (0 <= a < n):
+            raise ValueError(f"word letter {a} outside 0..{n - 1}")
+        nb = out[a]
+        flipped ^= nb
+        m = nb
+        while m:
+            low = m & -m
+            out[low.bit_length() - 1] ^= nb ^ low
+            m ^= low
+    return flipped, tuple(out)
+
+
 def apply_word_graph(g: Graph, w: Sequence[int]) -> Graph:
     """Fold :func:`local_complement` over ``w`` left to right."""
-    rows = g.rows
-    for a in w:
-        if not (0 <= a < g.n):
-            raise ValueError(f"word letter {a} outside 0..{g.n - 1}")
-        rows = _lc_rows(rows, a)
-    return Graph(g.n, rows)
+    return Graph(g.n, replay(g.rows, w)[1])
+
+
+def _negate(coloring: Coloring, mask: int) -> Coloring:
+    return tuple(-c if (mask >> v) & 1 else c for v, c in enumerate(coloring))
 
 
 def local_inversion(b: BicoloredGraph, a: int) -> BicoloredGraph:
@@ -289,17 +315,8 @@ def local_inversion(b: BicoloredGraph, a: int) -> BicoloredGraph:
 
 def apply_word(b: BicoloredGraph, w: Sequence[int]) -> BicoloredGraph:
     """Fold :func:`local_inversion` over ``w`` left to right."""
-    n = b.graph.n
-    rows = b.graph.rows
-    colors = list(b.coloring)
-    for a in w:
-        if not (0 <= a < n):
-            raise ValueError(f"word letter {a} outside 0..{n - 1}")
-        nb = rows[a]
-        for v in iter_bits(nb):
-            colors[v] = -colors[v]
-        rows = _lc_rows(rows, a)
-    return BicoloredGraph(Graph(n, rows), tuple(colors))
+    flipped, rows = replay(b.graph.rows, w)
+    return BicoloredGraph(Graph(b.graph.n, rows), _negate(b.coloring, flipped))
 
 
 def flip(b: BicoloredGraph, s: Iterable[int]) -> BicoloredGraph:
@@ -307,10 +324,7 @@ def flip(b: BicoloredGraph, s: Iterable[int]) -> BicoloredGraph:
     sm = mask_of(s)
     if sm >> b.graph.n:
         raise ValueError("flip set mentions vertices outside the graph")
-    coloring = tuple(
-        -c if (sm >> v) & 1 else c for v, c in enumerate(b.coloring)
-    )
-    return BicoloredGraph(b.graph, coloring)
+    return BicoloredGraph(b.graph, _negate(b.coloring, sm))
 
 
 def reduce_word(w: Sequence[int]) -> Word:

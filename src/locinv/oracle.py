@@ -13,6 +13,7 @@ up to 5 vertices runs in seconds.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
@@ -233,7 +234,8 @@ def survey(
     Graphs come from ``graph6_lines`` when given (filtered to at most
     ``n_max`` vertices) and from internal isomorphism-free enumeration
     otherwise.  Workers share nothing; results keep input order, so the
-    output is deterministic for fixed inputs.
+    output is deterministic for fixed inputs.  ``jobs`` is capped at the
+    CPU count, since more workers than cores only add processes.
     """
     if n_max > cap:
         raise CapExceededError(f"n_max {n_max} exceeds the search cap {cap}")
@@ -246,6 +248,7 @@ def survey(
             emit_graph6(g) for n in range(2, n_max + 1) for g in connected_graphs(n)
         ]
     tasks = [(line, cap) for line in ids]
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         return [_survey_one(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -3,10 +3,13 @@
 Every public operation returns a :class:`CertifiedWord`: a word together
 with the vertex set it flips, a length bound, and a tag describing the
 construction path.  Replaying the word on any coloring of the target graph
-flips exactly ``target_flip`` and restores the graph; the flipped set does
-not depend on the starting coloring, so one replay suffices in principle
-and :func:`verify_certificate` adds random colorings purely as an
-implementation check.
+flips exactly ``target_flip`` and restores the graph.  The flipped set does
+not depend on the starting coloring, so :func:`verify_certificate` decides
+a certificate exactly with one bitmask replay
+(:func:`locinv.graph_core.replay`).  :func:`color_reversal_word` and
+:func:`transform_word` run it on every word before returning it, so a
+false certificate raises :class:`VerificationError` instead of leaving the
+library, also under ``python -O``.
 
 Building blocks (lengths in letters):
 
@@ -24,7 +27,6 @@ complete graphs.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
@@ -33,26 +35,19 @@ from .graph_core import (
     BicoloredGraph,
     Graph,
     Word,
-    all_plus,
-    apply_word,
+    apply_word,  # noqa: F401  module attribute wrapped by bench/tracer.py
     components,
     components_within,
-    flip,
     induced_connected,
     is_connected,
     iter_bits,
+    mask_of,
     reduce_word,
+    replay,
 )
 from .partitioner import RootedTree, p3_partition, perfect_forest
 
 Anchor = Literal["end", "start"]
-
-
-def _mask(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 @dataclass(frozen=True, slots=True)
@@ -335,9 +330,7 @@ def reverse_odd_subgraph(g: Graph, s: Iterable[int]) -> CertifiedWord:
         raise ValueError("induced subgraph must be connected")
 
     a = next(v for v in sorted(s) if induced_connected(g, s - {v}))
-    smask = 0
-    for v in s:
-        smask |= 1 << v
+    smask = mask_of(s)
 
     tri = _triangle_at(g, a, smask)
     if tri is not None:
@@ -388,6 +381,8 @@ def color_reversal_word(g: Graph) -> CertifiedWord:
     subgraph reversal, or an odd subgraph reversal.  The certified bound is
     4n-4 for a connected even-order graph, 4n-3 for odd order, and 4n-3t
     for t >= 2 components.  Isolated vertices make the task unsatisfiable.
+    The word is checked with :func:`verify_certificate` before it is
+    returned.
     """
     for v in range(g.n):
         if g.rows[v] == 0:
@@ -400,7 +395,9 @@ def color_reversal_word(g: Graph) -> CertifiedWord:
         bound = 0 if g.n == 0 else (4 * g.n - 4 if g.n % 2 == 0 else 4 * g.n - 3)
     else:
         bound = 4 * g.n - 3 * len(comps)
-    return CertifiedWord(tuple(parts), frozenset(range(g.n)), bound, "full-reversal")
+    cw = CertifiedWord(tuple(parts), frozenset(range(g.n)), bound, "full-reversal")
+    verify_certificate(g, cw)
+    return cw
 
 
 # -- recoloring -------------------------------------------------------------
@@ -424,7 +421,7 @@ def _flip_set_word(g: Graph, s: frozenset[int]) -> Word:
         if m == 1:
             isolates.append(min(comp))
             continue
-        if all(g.rows[v] & ~_mask(comp) == 0 for v in comp):
+        if all(g.rows[v] & ~mask_of(comp) == 0 for v in comp):
             # the piece is a whole component of g, so the standalone
             # reversal words apply and are never longer
             parts.extend(_reverse_component_word(g, comp))
@@ -497,7 +494,8 @@ def transform_word(g: Graph, from_colors: Sequence[int], to_colors: Sequence[int
     reverse the whole component.  The certified bound is
     floor((11n-3)/2) for connected ``g`` and floor((11n-3t)/2) for t
     components; exceeding it raises :class:`BoundExceededError` with a
-    witness rather than returning a broken certificate.
+    witness rather than returning a broken certificate, and a word that
+    fails :func:`verify_certificate` raises :class:`VerificationError`.
     """
     BicoloredGraph(g, tuple(from_colors))
     BicoloredGraph(g, tuple(to_colors))
@@ -534,7 +532,9 @@ def transform_word(g: Graph, from_colors: Sequence[int], to_colors: Sequence[int
                 "word": word,
             },
         )
-    return CertifiedWord(word, diff_all, bound, f"transform/{strategy}")
+    cw = CertifiedWord(word, diff_all, bound, f"transform/{strategy}")
+    verify_certificate(g, cw)
+    return cw
 
 
 # -- stars and complete graphs ----------------------------------------------
@@ -579,19 +579,14 @@ def complete_word(n: int) -> CertifiedWord:
 # -- verification ------------------------------------------------------------
 
 
-def verify_certificate(
-    g: Graph,
-    cw: CertifiedWord,
-    *,
-    extra_colorings: int = 16,
-    seed: int = 0x5EED,
-) -> None:
-    """Replay ``cw.word`` and check it flips exactly ``cw.target_flip``.
+def verify_certificate(g: Graph, cw: CertifiedWord) -> None:
+    """Check that ``cw.word`` flips exactly ``cw.target_flip`` and restores ``g``.
 
-    Checks the all-plus coloring and ``extra_colorings`` seeded random
-    colorings; the flipped set is coloring-independent, so these replays
-    guard implementation bugs rather than sampling error.  Raises
-    :class:`VerificationError` on any mismatch.
+    One bitmask replay decides this exactly: the flipped set does not
+    depend on the starting coloring, so no coloring is sampled.  Raises
+    :class:`VerificationError` on a length over the bound, a target vertex
+    or word letter outside the graph, an unrestored graph, or a flipped set
+    other than the target.
     """
     if len(cw.word) > cw.bound:
         raise VerificationError(
@@ -600,28 +595,24 @@ def verify_certificate(
     for v in cw.target_flip:
         if not (0 <= v < g.n):
             raise VerificationError(f"target vertex {v} outside 0..{g.n - 1}")
-    rng = random.Random(seed)
-    colorings = [all_plus(g.n)]
-    for _ in range(extra_colorings):
-        colorings.append(tuple(rng.choice((-1, 1)) for _ in range(g.n)))
-    for coloring in colorings:
-        before = BicoloredGraph(g, coloring)
-        after = apply_word(before, cw.word)
-        expected = flip(before, cw.target_flip)
-        if after.graph != g:
-            raise VerificationError(
-                f"{cw.construction}: graph not restored under coloring {coloring}"
-            )
-        if after != expected:
-            raise VerificationError(
-                f"{cw.construction}: flipped set differs from target under coloring {coloring}"
-            )
+    try:
+        flipped, rows = replay(g.rows, cw.word)
+    except ValueError as exc:
+        raise VerificationError(f"{cw.construction}: {exc}") from None
+    if rows != g.rows:
+        raise VerificationError(f"{cw.construction}: graph not restored")
+    target = mask_of(cw.target_flip)
+    if flipped != target:
+        raise VerificationError(
+            f"{cw.construction}: word flips {sorted(iter_bits(flipped))}, "
+            f"target is {sorted(iter_bits(target))}"
+        )
 
 
-def certificate_holds(g: Graph, cw: CertifiedWord, **kwargs) -> bool:
+def certificate_holds(g: Graph, cw: CertifiedWord) -> bool:
     """Boolean form of :func:`verify_certificate`."""
     try:
-        verify_certificate(g, cw, **kwargs)
+        verify_certificate(g, cw)
     except VerificationError:
         return False
     return True

@@ -15,9 +15,11 @@ from locinv.graph_core import (
     components,
     flip,
     is_connected,
+    iter_bits,
     local_complement,
     local_inversion,
     reduce_word,
+    replay,
 )
 
 from helpers import local_complement_reference, random_coloring, random_graph
@@ -308,6 +310,51 @@ def test_flipped_set_is_coloring_independent(g, data):
         out = apply_word(b, w)
         assert out.graph == after.graph
         assert out.coloring == flip(b, flipped).coloring
+
+
+# -- replay ------------------------------------------------------------------
+
+
+def test_replay_matches_letter_by_letter_fold():
+    """Differential check of the in-place replay against independent folds.
+
+    The fold of :func:`local_inversion` copies every row and negates colors
+    letter by letter; the pairwise reference complements one pair at a
+    time.  Both must agree with :func:`replay`, :func:`apply_word` and
+    :func:`apply_word_graph` under the all-plus coloring and 16 seeded
+    random colorings, and the flip mask must be the set those colorings
+    see negated.
+    """
+    rng = random.Random(0x5EED)
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        g = random_graph(rng, n, rng.random())
+        w = tuple(rng.randrange(n) for _ in range(rng.randint(0, 4 * n)))
+        flipped, rows = replay(g.rows, w)
+        ref = g
+        for a in w:
+            ref = local_complement_reference(ref, a)
+        assert rows == ref.rows
+        assert apply_word_graph(g, w) == ref
+        for coloring in [all_plus(n)] + [random_coloring(rng, n) for _ in range(16)]:
+            b = BicoloredGraph(g, coloring)
+            folded = b
+            for a in w:
+                folded = local_inversion(folded, a)
+            assert apply_word(b, w) == folded
+            assert folded == BicoloredGraph(ref, flip(b, iter_bits(flipped)).coloring)
+
+
+def test_replay_leaves_its_input_alone_and_checks_letters():
+    rows = list(Graph.path(4).rows)
+    assert replay(rows, ()) == (0, tuple(rows))
+    flipped, after = replay(rows, (1,))
+    assert flipped == 0b101
+    assert after == Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)]).rows
+    assert rows == list(Graph.path(4).rows)
+    for bad in (-1, 4):
+        with pytest.raises(ValueError, match=f"word letter {bad} outside 0..3"):
+            replay(rows, (0, bad))
 
 
 @given(colored_graphs(min_n=1, max_n=6), st.data())

@@ -210,6 +210,33 @@ def test_survey_parallel_matches_serial():
     assert serial == parallel
 
 
+@pytest.mark.parametrize("cpus, asked, pool_size", [(3, 1000, 3), (3, 2, 2), (None, 8, None)])
+def test_survey_caps_jobs_at_cpu_count(monkeypatch, cpus, asked, pool_size):
+    import locinv.oracle as oracle
+
+    sizes = []
+
+    class SerialPool:
+        """Records max_workers and maps in process; no worker is started."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
+    assert survey(3, jobs=asked) == survey(3)
+    assert sizes == ([] if pool_size is None else [pool_size])
+
+
 @pytest.mark.slow
 def test_survey_extends_to_six_vertices():
     # all 112 connected 6-vertex classes: the 3n ceiling continues to hold,

@@ -1,11 +1,16 @@
 """Tests for certified word synthesis."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import locinv
+import locinv.synthesizer as synth
 from locinv.errors import UnsatisfiableError, VerificationError
 from locinv.graph_core import (
     BicoloredGraph,
@@ -220,7 +225,7 @@ def test_reverse_odd_tree_random_roots_and_hosts():
         cw = reverse_odd_tree(g, t, r, anchor)
         assert len(cw.word) == 4 * n - 4
         assert (cw.word[-1] if anchor == "end" else cw.word[0]) == r
-        verify_certificate(g, cw, extra_colorings=4)
+        verify_certificate(g, cw)
 
 
 def test_reverse_odd_tree_embedded_in_larger_graph():
@@ -228,7 +233,7 @@ def test_reverse_odd_tree_embedded_in_larger_graph():
     g = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (4, 5), (2, 5)])
     t = RootedTree(frozenset({0, 1, 2, 3}), ((0, 1), (0, 2), (0, 3)), 2)
     cw = reverse_odd_tree(g, t, 2, "end")
-    verify_certificate(g, cw, extra_colorings=8)
+    verify_certificate(g, cw)
 
 
 def test_reverse_odd_tree_rejects_non_induced():
@@ -270,7 +275,7 @@ def test_reverse_even_subgraph_proper_subset():
     c6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
     cw = reverse_even_subgraph(c6, {0, 1, 2, 3}, 0, "end")
     assert cw.word[-1] == 0
-    verify_certificate(c6, cw, extra_colorings=8)
+    verify_certificate(c6, cw)
 
 
 def test_reverse_even_subgraph_random():
@@ -283,7 +288,7 @@ def test_reverse_even_subgraph_random():
         cw = reverse_even_subgraph(g, range(n), v, anchor)
         assert len(cw.word) <= 4 * n - 4
         assert (cw.word[-1] if anchor == "end" else cw.word[0]) == v
-        verify_certificate(g, cw, extra_colorings=4)
+        verify_certificate(g, cw)
 
 
 def test_reverse_odd_subgraph_c5_and_k5():
@@ -313,7 +318,7 @@ def test_reverse_odd_subgraph_random():
         g = random_connected_graph(rng, n)
         cw = reverse_odd_subgraph(g, range(n))
         assert len(cw.word) <= 4 * n - 3
-        verify_certificate(g, cw, extra_colorings=4)
+        verify_certificate(g, cw)
 
 
 def test_subgraph_reversal_preconditions():
@@ -359,7 +364,7 @@ def test_color_reversal_random():
         cw = color_reversal_word(g)
         bound = 4 * n - 4 if n % 2 == 0 else 4 * n - 3
         assert cw.bound == bound and len(cw.word) <= bound
-        verify_certificate(g, cw, extra_colorings=4)
+        verify_certificate(g, cw)
 
 
 # -- transform ---------------------------------------------------------------------------------
@@ -387,7 +392,7 @@ def test_transform_random():
         cw = transform_word(g, f, t)
         assert len(cw.word) <= (11 * n - 3) // 2 == cw.bound
         assert apply_word(BicoloredGraph(g, f), cw.word) == BicoloredGraph(g, t)
-        verify_certificate(g, cw, extra_colorings=2)
+        verify_certificate(g, cw)
 
 
 def test_transform_disconnected_graph():
@@ -442,7 +447,7 @@ def test_transform_complement_strategy_wins_on_large_star_leaves():
     assert cw.construction == "transform/flip-V0-then-all"
     assert len(cw.word) <= cw.bound
     assert apply_word(BicoloredGraph(g, f), cw.word) == BicoloredGraph(g, t)
-    verify_certificate(g, cw, extra_colorings=4)
+    verify_certificate(g, cw)
 
 
 # -- stars and complete graphs --------------------------------------------------------------------
@@ -453,7 +458,7 @@ def test_star_word_exact_lengths_and_replay():
     for n in (2, 4, 5, 50):
         cw = star_word(n)
         assert len(cw.word) == 3 * n == cw.bound
-        verify_certificate(Graph.star(n), cw, extra_colorings=2)
+        verify_certificate(Graph.star(n), cw)
 
 
 def test_complete_word_exact_lengths_and_replay():
@@ -461,7 +466,7 @@ def test_complete_word_exact_lengths_and_replay():
     for n in (2, 3, 30):
         cw = complete_word(n)
         assert len(cw.word) == 3 * n == cw.bound
-        verify_certificate(Graph.complete(n), cw, extra_colorings=2)
+        verify_certificate(Graph.complete(n), cw)
 
 
 def test_star_and_complete_reject_tiny():
@@ -498,7 +503,7 @@ def test_certificate_reduction_stability():
         g = random_connected_graph(rng, n)
         cw = color_reversal_word(g)
         reduced = CertifiedWord(cw.reduced, cw.target_flip, cw.bound, cw.construction)
-        verify_certificate(g, reduced, extra_colorings=2)
+        verify_certificate(g, reduced)
 
 
 def test_synthesis_is_deterministic():
@@ -547,9 +552,67 @@ def test_certificate_holds_rejects_wrong_target():
     bad = CertifiedWord(gadget_edge(0, 1), frozenset({0}), 6, "test")
     assert certificate_holds(g, good)
     assert not certificate_holds(g, bad)
+    for letter in (5, -1):
+        assert not certificate_holds(g, CertifiedWord((0, letter), frozenset({0}), 6, "t"))
 
 
 def test_verify_certificate_error_paths():
     g = Graph.complete(2)
     with pytest.raises(VerificationError):
         verify_certificate(g, CertifiedWord((0,), frozenset({0, 5}), 7, "test"))
+    for letter in (5, -1):
+        with pytest.raises(VerificationError, match=f"word letter {letter} outside"):
+            verify_certificate(g, CertifiedWord((0, letter), frozenset({0}), 6, "t"))
+    # inverting at the center of P3 flips both ends but adds the edge 02
+    with pytest.raises(VerificationError, match="graph not restored"):
+        verify_certificate(Graph.path(3), CertifiedWord((1,), frozenset({0, 2}), 1, "t"))
+
+
+def test_color_reversal_word_checks_its_own_word(monkeypatch):
+    real = synth._reverse_component_word
+    monkeypatch.setattr(synth, "_reverse_component_word", lambda g, comp: real(g, comp)[:-1])
+    with pytest.raises(VerificationError):
+        color_reversal_word(Graph.path(5))
+
+
+def test_transform_word_checks_its_own_word(monkeypatch):
+    real = synth._transform_component
+
+    def dropped_letter(g, comp, diff):
+        word, tag = real(g, comp, diff)
+        return word[:-1], tag
+
+    monkeypatch.setattr(synth, "_transform_component", dropped_letter)
+    with pytest.raises(VerificationError):
+        transform_word(Graph.path(4), (1, 1, 1, 1), (-1, 1, 1, 1))
+
+
+_TAMPERED_UNDER_O = """
+import locinv.synthesizer as synth
+from locinv.errors import VerificationError
+from locinv.graph_core import Graph
+
+g = Graph.path(5)
+good = synth.color_reversal_word(g)
+tampered = synth.CertifiedWord(good.word[:-1], good.target_flip, good.bound, "t")
+seen = [__debug__, synth.certificate_holds(g, good), synth.certificate_holds(g, tampered)]
+real = synth._reverse_component_word
+synth._reverse_component_word = lambda g, comp: real(g, comp)[:-1]
+try:
+    synth.color_reversal_word(g)
+    seen.append("returned")
+except VerificationError:
+    seen.append("raised")
+print(seen)
+"""
+
+
+def test_tampered_certificate_rejected_under_optimize_flag():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(locinv.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _TAMPERED_UNDER_O],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "[False, True, False, 'raised']"
