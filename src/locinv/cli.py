@@ -24,7 +24,7 @@ from .errors import (
     UnsatisfiableError,
     VerificationError,
 )
-from .graph_core import BicoloredGraph, Coloring, Graph, apply_word
+from .graph_core import BicoloredGraph, Coloring, Graph, apply_word, mask_of
 from .graph6 import emit_graph6, parse_graph6  # re-exported format codec
 from .oracle import DEFAULT_CAP, CrReport, exact_cr, summarize, survey
 from .synthesizer import (
@@ -190,8 +190,10 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         rc = _verify_and_report(g, cw)
         if rc != 0:
             return rc
-        after = apply_word(BicoloredGraph(g, from_colors), cw.word)
-        if after != BicoloredGraph(g, to_colors):
+        # the replay above proved the word flips exactly target_flip, so the
+        # target is reached iff that set is where the two colorings differ
+        changed = mask_of(v for v in range(g.n) if from_colors[v] != to_colors[v])
+        if mask_of(cw.target_flip) != changed:
             print("verification: FAILED: replay does not reach the target coloring", file=sys.stderr)
             return 1
     return 0

@@ -43,6 +43,24 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def upper_rows(n: int, bits: int) -> list[int]:
+    """Adjacency rows of the packed upper triangle ``bits`` on ``n`` vertices.
+
+    Bit ``j*(j-1)/2 + i`` holds the adjacency of pair ``(i, j)`` for
+    ``i < j`` (column-major pair order, as in the graph6 format).  The rows
+    are not validated; :meth:`Graph.from_upper_bits` wraps them in a graph.
+    """
+    rows = [0] * n
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if (bits >> k) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            k += 1
+    return rows
+
+
 @dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected labeled graph on vertices ``0..n-1``.
@@ -84,20 +102,8 @@ class Graph:
 
     @staticmethod
     def from_upper_bits(n: int, bits: int) -> "Graph":
-        """Build a graph from packed upper-triangle bits.
-
-        Bit ``j*(j-1)/2 + i`` holds the adjacency of pair ``(i, j)`` for
-        ``i < j`` (column-major pair order, as in the graph6 format).
-        """
-        rows = [0] * n
-        k = 0
-        for j in range(1, n):
-            for i in range(j):
-                if (bits >> k) & 1:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-                k += 1
-        return Graph(n, tuple(rows))
+        """Build a graph from packed upper-triangle bits (see :func:`upper_rows`)."""
+        return Graph(n, tuple(upper_rows(n, bits)))
 
     @staticmethod
     def path(t: int) -> "Graph":
@@ -176,14 +182,17 @@ class Graph:
 # -- connectivity helpers ---------------------------------------------
 
 
-def reachable_mask(g: Graph, start: int, within: int) -> int:
-    """Bitmask of vertices reachable from ``start`` inside the mask ``within``."""
+def reachable_mask(rows: Sequence[int], start: int, within: int) -> int:
+    """Bitmask of vertices reachable from ``start`` inside the mask ``within``.
+
+    ``rows`` are adjacency rows as in :attr:`Graph.rows`.
+    """
     seen = 1 << start
     frontier = seen
     while frontier:
         nxt = 0
         for v in iter_bits(frontier):
-            nxt |= g.rows[v] & within
+            nxt |= rows[v] & within
         frontier = nxt & ~seen
         seen |= frontier
     return seen
@@ -193,7 +202,7 @@ def is_connected(g: Graph) -> bool:
     if g.n <= 1:
         return True
     full = (1 << g.n) - 1
-    return reachable_mask(g, 0, full) == full
+    return reachable_mask(g.rows, 0, full) == full
 
 
 def induced_connected(g: Graph, s: Iterable[int]) -> bool:
@@ -202,7 +211,7 @@ def induced_connected(g: Graph, s: Iterable[int]) -> bool:
     if sm == 0:
         return True
     start = (sm & -sm).bit_length() - 1
-    return reachable_mask(g, start, sm) == sm
+    return reachable_mask(g.rows, start, sm) == sm
 
 
 def components(g: Graph) -> list[frozenset[int]]:
@@ -216,7 +225,7 @@ def components_within(g: Graph, s: Iterable[int]) -> list[frozenset[int]]:
     out = []
     while rest:
         start = (rest & -rest).bit_length() - 1
-        comp = reachable_mask(g, start, rest)
+        comp = reachable_mask(g.rows, start, rest)
         out.append(frozenset(iter_bits(comp)))
         rest &= ~comp
     return out

@@ -1,14 +1,18 @@
 """Exact ground truth at desk scale.
 
-A bicolored graph on n vertices packs into a single integer: the upper
-triangle of the adjacency matrix in column-major pair order, followed by
-one bit per vertex color.  Breadth-first search over the n successor moves
-per state yields shortest transformation words, the exact color reversal
+A bicolored graph on n vertices packs into a single integer, row-major:
+row v of the adjacency matrix sits at bits ``[n*v, n*v + n)`` and the
+coloring at bits ``[n*n, n*n + n)`` (bit set means the vertex is colored
+-1).  A local inversion at ``a`` with neighborhood S then XORs a fixed
+integer that depends on S alone, so breadth-first search over the n
+successor moves per state is one table lookup and one XOR per move.  The
+search yields shortest transformation words, the exact color reversal
 number of small graphs, and an exhaustive survey of all connected graphs
 up to a vertex cap.
 
-The default cap is 7 vertices (state space 2^28); the survey of everything
-up to 5 vertices runs in seconds.
+The default cap is 7 vertices; reachable orbits stay far below the raw
+state space (the 7-cycle reaches 134,656 states), and the survey of
+everything up to 5 vertices runs in well under a second.
 """
 
 from __future__ import annotations
@@ -16,8 +20,9 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import CapExceededError, UnsatisfiableError
 from .graph_core import (
@@ -26,8 +31,8 @@ from .graph_core import (
     Word,
     all_plus,
     flip,
-    is_connected,
-    _lc_rows,
+    reachable_mask,
+    upper_rows,
 )
 from .graph6 import emit_graph6
 from .synthesizer import color_reversal_word
@@ -39,35 +44,49 @@ DEFAULT_CAP = 7
 
 
 def pack_state(b: BicoloredGraph) -> int:
-    """Pack a bicolored graph into adjacency bits followed by color bits.
+    """Pack a bicolored graph into one integer, adjacency rows then colors.
 
-    Bit layout: the low ``n`` bits hold the coloring (bit v set means
-    vertex v is colored -1); above them sit the n(n-1)/2 upper-triangle
-    adjacency bits in column-major pair order.
+    Bit layout: row v of the adjacency matrix occupies bits
+    ``[n*v, n*v + n)``; the coloring occupies bits ``[n*n, n*n + n)``, bit
+    ``n*n + v`` set meaning vertex v is colored -1.
     """
     n = b.graph.n
-    cmask = 0
+    key = 0
+    for v, row in enumerate(b.graph.rows):
+        key |= row << (n * v)
     for v, c in enumerate(b.coloring):
         if c == -1:
-            cmask |= 1 << v
-    return (b.graph.upper_bits() << n) | cmask
+            key |= 1 << (n * n + v)
+    return key
 
 
 def unpack_state(key: int, n: int) -> BicoloredGraph:
     """Inverse of :func:`pack_state` for a fixed vertex count."""
-    cmask = key & ((1 << n) - 1)
-    g = Graph.from_upper_bits(n, key >> n)
+    full = (1 << n) - 1
+    g = Graph(n, tuple((key >> (n * v)) & full for v in range(n)))
+    cmask = key >> (n * n)
     coloring = tuple(-1 if (cmask >> v) & 1 else 1 for v in range(n))
     return BicoloredGraph(g, coloring)
 
 
-def _pack_rows(rows: Sequence[int], n: int, cmask: int) -> int:
-    bits = 0
-    shift = 0
-    for j in range(1, n):
-        bits |= (rows[j] & ((1 << j) - 1)) << shift
-        shift += j
-    return (bits << n) | cmask
+@cache
+def _move_table(n: int) -> tuple[int, ...]:
+    """Entry S: the XOR a local inversion with neighborhood S applies to a state.
+
+    It complements the adjacency between every two vertices of S and
+    negates their colors.  The table has 2^n entries and is built the first
+    time a search on n vertices needs it.
+    """
+    table = []
+    for s in range(1 << n):
+        x = s << (n * n)
+        m = s
+        while m:
+            low = m & -m
+            x ^= (s ^ low) << (n * (low.bit_length() - 1))
+            m ^= low
+        table.append(x)
+    return tuple(table)
 
 
 # -- breadth-first search ------------------------------------------------
@@ -80,6 +99,8 @@ def min_flip_word(
 
     Plain breadth-first search over the n moves per state, so the returned
     word length is exactly the layer in which the target first appears.
+    Moves are tried in vertex order, so the witness is the first shortest
+    word in that order of discovery.
     """
     n = b.graph.n
     if target.graph.n != n:
@@ -87,36 +108,35 @@ def min_flip_word(
     if n > cap:
         raise CapExceededError(f"{n} vertices exceed the search cap {cap}")
 
-    cmask0 = 0
-    for v, c in enumerate(b.coloring):
-        if c == -1:
-            cmask0 |= 1 << v
-    start = _pack_rows(b.graph.rows, n, cmask0)
+    start = pack_state(b)
     goal = pack_state(target)
     if start == goal:
         return (0, ())
 
-    visited: dict[int, tuple[int, int] | None] = {start: None}
-    frontier: list[tuple[tuple[int, ...], int, int]] = [(b.graph.rows, cmask0, start)]
+    moves = _move_table(n)
+    full = (1 << n) - 1
+    shifts = [(a, n * a) for a in range(n)]
+    # key -> the letter that first reached it; the move at a leaves row a
+    # unchanged and is an involution, so the parent is recomputed from it
+    visited: dict[int, int] = {start: -1}
+    frontier = [start]
     while frontier:
-        nxt: list[tuple[tuple[int, ...], int, int]] = []
-        for rows, cmask, key in frontier:
-            for a in range(n):
-                ncmask = cmask ^ rows[a]
-                nrows = _lc_rows(rows, a)
-                nkey = _pack_rows(nrows, n, ncmask)
+        nxt: list[int] = []
+        for key in frontier:
+            for a, shift in shifts:
+                nkey = key ^ moves[(key >> shift) & full]
                 if nkey in visited:
                     continue
-                visited[nkey] = (key, a)
+                visited[nkey] = a
                 if nkey == goal:
                     letters: list[int] = []
-                    cur: int | None = nkey
-                    while visited[cur] is not None:
-                        cur, letter = visited[cur]
-                        letters.append(letter)
+                    while nkey != start:
+                        a = visited[nkey]
+                        letters.append(a)
+                        nkey ^= moves[(nkey >> (n * a)) & full]
                     letters.reverse()
                     return (len(letters), tuple(letters))
-                nxt.append((nrows, ncmask, nkey))
+                nxt.append(nkey)
         frontier = nxt
     return None
 
@@ -160,11 +180,6 @@ def exact_cr(g: Graph, cap: int = DEFAULT_CAP) -> CrReport:
 # -- enumeration -------------------------------------------------------------
 
 
-def _connected_bits(bits: int, n: int) -> bool:
-    g = Graph.from_upper_bits(n, bits)
-    return is_connected(g)
-
-
 def _bit_remaps(n: int) -> list[tuple[int, ...]]:
     """For each vertex permutation, where each upper-triangle bit lands."""
     index = {}
@@ -189,13 +204,15 @@ def connected_graphs(n: int) -> Iterator[Graph]:
     Canonical representatives minimize the packed upper-triangle bits over
     all vertex permutations, found by brute force; fine for n <= 7.
     """
-    if n == 1:
-        yield Graph(1, (0,))
+    if n <= 1:
+        yield Graph(n, (0,) * n)
         return
     remaps = _bit_remaps(n)
     nbits = n * (n - 1) // 2
+    full = (1 << n) - 1
     for bits in range(1 << nbits):
-        if not _connected_bits(bits, n):
+        rows = upper_rows(n, bits)
+        if reachable_mask(rows, 0, full) != full:
             continue
         smaller = False
         for table in remaps:
@@ -209,7 +226,7 @@ def connected_graphs(n: int) -> Iterator[Graph]:
                 smaller = True
                 break
         if not smaller:
-            yield Graph.from_upper_bits(n, bits)
+            yield Graph(n, tuple(rows))
 
 
 # -- survey -------------------------------------------------------------------
@@ -278,9 +295,10 @@ def summarize(reports: Iterable[CrReport]) -> SurveySummary:
         if rep.exact_cr is not None:
             if max_cr is None or rep.exact_cr > max_cr:
                 max_cr = rep.exact_cr
-            ratio = rep.exact_cr / (3 * rep.n)
-            if max_ratio is None or ratio > max_ratio:
-                max_ratio = ratio
+            if rep.n:  # the empty graph has no cr/3n ratio
+                ratio = rep.exact_cr / (3 * rep.n)
+                if max_ratio is None or ratio > max_ratio:
+                    max_ratio = ratio
             if rep.synthesized_length is not None and rep.exact_cr > rep.synthesized_length:
                 violations.append(f"{rep.graph_id}: exact {rep.exact_cr} > synthesized {rep.synthesized_length}")
         if (

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from locinv.graph_core import Graph
+from locinv.graph_core import BicoloredGraph, Graph, _lc_rows
 from locinv.partitioner import EdgePartition, PerfectForest, RootedTree
 
 
@@ -74,6 +74,45 @@ def local_complement_reference(g: Graph, a: int) -> Graph:
             if has:
                 edges.add((u, v))
     return Graph.from_edges(g.n, edges)
+
+
+def min_flip_word_reference(b: BicoloredGraph, target: BicoloredGraph):
+    """Tuple-state breadth-first search, the oracle before packed states.
+
+    States are (adjacency rows, color mask) pairs and every move rebuilds
+    the rows.  Frontier order and letter order match
+    :func:`locinv.oracle.min_flip_word`, so both must return the same
+    ``(length, witness)``, or None when the target is unreachable.
+    """
+    n = b.graph.n
+
+    def cmask(coloring):
+        return sum(1 << v for v, c in enumerate(coloring) if c == -1)
+
+    start = (b.graph.rows, cmask(b.coloring))
+    goal = (target.graph.rows, cmask(target.coloring))
+    if start == goal:
+        return (0, ())
+    parent = {start: None}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for state in frontier:
+            rows, colors = state
+            for a in range(n):
+                child = (_lc_rows(rows, a), colors ^ rows[a])
+                if child in parent:
+                    continue
+                parent[child] = (state, a)
+                if child == goal:
+                    letters = []
+                    while parent[child] is not None:
+                        child, letter = parent[child]
+                        letters.append(letter)
+                    return (len(letters), tuple(reversed(letters)))
+                nxt.append(child)
+        frontier = nxt
+    return None
 
 
 def check_p3_partition(t: RootedTree, part: EdgePartition) -> None:

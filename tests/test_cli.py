@@ -169,6 +169,21 @@ def test_transform_command(p3_file, capsys):
     assert "verification: ok" in out
 
 
+def test_transform_verify_rejects_a_word_for_another_target(p3_file, capsys, monkeypatch):
+    # a true certificate for the wrong flip set: the replay check passes, the
+    # target check must not
+    import locinv.cli as cli
+    from locinv.synthesizer import color_reversal_word
+
+    monkeypatch.setattr(cli, "transform_word", lambda g, f, t: color_reversal_word(g))
+    rc = main(["transform", "-i", p3_file, "--from", "+++", "--to", "+--", "--verify"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "verification: FAILED: replay does not reach the target coloring" in err
+    # the same word is accepted when it is the one asked for
+    assert main(["transform", "-i", p3_file, "--from=+++", "--to=---", "--verify"]) == 0
+
+
 def test_transform_unsatisfiable(tmp_path, capsys):
     path = tmp_path / "iso3.txt"
     path.write_text("n 3\n0 1\n")

@@ -23,7 +23,7 @@ from locinv.oracle import (
     unpack_state,
 )
 
-from helpers import random_coloring, random_graph
+from helpers import min_flip_word_reference, random_coloring, random_graph
 
 
 def brute_force_min_word(b, target, max_len):
@@ -114,6 +114,61 @@ def test_min_flip_word_layer_minimality():
         assert apply_word(b, word[:cut]) != target
 
 
+def _cycle(n):
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def test_min_flip_word_matches_tuple_search_on_every_small_connected_graph():
+    for n in range(1, 6):
+        for g in connected_graphs(n):
+            b = BicoloredGraph(g, all_plus(n))
+            target = flip(b, range(n))
+            assert min_flip_word(b, target) == min_flip_word_reference(b, target)
+
+
+def test_min_flip_word_matches_tuple_search_on_p7_and_c6():
+    for g in (Graph.path(7), _cycle(6)):
+        b = BicoloredGraph(g, all_plus(g.n))
+        target = flip(b, range(g.n))
+        assert min_flip_word(b, target) == min_flip_word_reference(b, target)
+
+
+def test_min_flip_word_matches_tuple_search_on_random_pairs():
+    # targets of three kinds: an unrelated bicolored graph (mostly
+    # unreachable), a recoloring of the start, and the end of a random word
+    rng = random.Random(2024)
+    unreachable = 0
+    for i in range(210):
+        n = i % 7
+        b = BicoloredGraph(random_graph(rng, n), random_coloring(rng, n))
+        if i % 3 == 0:
+            target = BicoloredGraph(random_graph(rng, n), random_coloring(rng, n))
+        elif i % 3 == 1:
+            target = flip(b, [v for v in range(n) if rng.random() < 0.5])
+        else:
+            word = [rng.randrange(n) for _ in range(rng.randint(0, 12))] if n else []
+            target = apply_word(b, word)
+        expected = min_flip_word_reference(b, target)
+        assert min_flip_word(b, target) == expected
+        unreachable += expected is None
+    assert unreachable >= 20
+
+
+def test_min_flip_word_pinned_witnesses():
+    # the first shortest word in breadth-first discovery order; exact and
+    # survey print these, so they must not change with the state encoding
+    b = BicoloredGraph(Graph.path(7), all_plus(7))
+    assert min_flip_word(b, flip(b, range(7))) == (
+        17,
+        (1, 0, 2, 0, 1, 3, 2, 3, 2, 4, 5, 3, 4, 6, 4, 6, 5),
+    )
+    b = BicoloredGraph(_cycle(6), all_plus(6))
+    assert min_flip_word(b, flip(b, range(6))) == (
+        18,
+        (0, 1, 0, 1, 0, 1, 2, 3, 2, 3, 2, 3, 4, 5, 4, 5, 4, 5),
+    )
+
+
 def test_min_flip_word_cap():
     g = Graph.path(8)
     b = BicoloredGraph(g, all_plus(8))
@@ -202,6 +257,15 @@ def test_survey_with_graph6_input():
     lines = [emit_graph6(Graph.complete(2)), emit_graph6(Graph.star(4))]
     reports = survey(5, graph6_lines=lines)
     assert [r.exact_cr for r in reports] == [2, 12]
+
+
+def test_survey_summary_of_the_empty_graph_has_no_ratio():
+    # graph6 "?" is the 0-vertex graph; its cr is 0 and cr/3n is undefined
+    summary = summarize(survey(2, graph6_lines=["?", "A_"]))
+    assert summary.graphs == 2
+    assert summary.max_cr == 2
+    assert summary.max_ratio == 2 / 6
+    assert summarize(survey(0, graph6_lines=["?"])).max_ratio is None
 
 
 def test_survey_parallel_matches_serial():
