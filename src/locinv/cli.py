@@ -54,6 +54,11 @@ __all__ = [
 REPORT_SCHEMA = "cr-report/1"
 SUMMARY_SCHEMA = "survey-summary/1"
 
+# Largest vertex count a command accepts.  Graphs and words are built in
+# memory in proportion to it, so a larger count is refused before anything
+# is allocated.
+MAX_VERTICES = 1 << 16
+
 
 # -- formats -----------------------------------------------------------
 
@@ -69,6 +74,8 @@ def parse_edge_list(text: str) -> Graph:
     if len(parts) != 2 or parts[0] != "n" or not parts[1].isdigit():
         raise ValueError(f"line {no}: expected header 'n <count>', got {header!r}")
     n = int(parts[1])
+    if n > MAX_VERTICES:
+        raise ValueError(f"line {no}: vertex count {n} exceeds the limit of {MAX_VERTICES}")
     edges = []
     for no, ln in lines[1:]:
         toks = ln.split()
@@ -283,7 +290,10 @@ def _gadget_vertices(args: argparse.Namespace, count: int) -> list[int]:
 def _gadget_size(args: argparse.Namespace) -> int:
     if len(args.args) != 1:
         raise ValueError(f"gadget {args.kind} takes the vertex count")
-    return int(args.args[0])
+    n = int(args.args[0])
+    if n > MAX_VERTICES:
+        raise ValueError(f"gadget {args.kind}: vertex count {n} exceeds the limit of {MAX_VERTICES}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:

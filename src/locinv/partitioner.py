@@ -9,10 +9,12 @@ Two constructions live here:
   of exactly one piece.
 
 * :func:`perfect_forest` finds a spanning forest of a connected even-order
-  graph whose trees are induced subgraphs and odd trees.  It starts from an
-  odd-degree spanning subgraph and repeatedly eliminates cycles and chords;
-  both rewrites preserve every degree parity and strictly shrink the edge
-  set, so the loop terminates with induced odd trees.
+  graph whose trees are induced subgraphs and odd trees.  It works on one
+  neighbour bitmask per vertex.  It starts from an odd-degree spanning
+  subforest of a BFS tree, which is acyclic, so no cycle needs removing,
+  and then resolves chords one component at a time from a worklist; each
+  swap preserves every degree parity and strictly shrinks the edge set, so
+  the loop terminates with induced odd trees.
 
 Both run in time polynomial in the graph size and are deterministic: ties
 break toward smaller vertex ids throughout.
@@ -22,9 +24,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
 
-from .graph_core import Graph, is_connected, iter_bits
+from .graph_core import Graph, iter_bits, reachable_mask
 
 Edge = tuple[int, int]
 
@@ -156,187 +157,118 @@ def p3_partition(t: RootedTree) -> EdgePartition:
     return EdgePartition(tuple(triples), (t.root, other))
 
 
-def odd_degree_spanning_subgraph(g: Graph) -> frozenset[Edge]:
-    """Spanning edge set of a connected even-order graph with all degrees odd.
+def _odd_spanning_rows(g: Graph) -> list[int]:
+    """Forest rows of an odd-degree spanning subgraph of a connected even-order graph.
 
     Root a BFS spanning tree at vertex 0 and sweep it children-first: a
     vertex keeps the edge to its parent exactly when its degree so far is
     even.  Every non-root ends odd by construction, and the root follows
-    because the total degree sum is even and n is even.
+    because the total degree sum is even and n is even.  Only tree edges
+    are kept, so the result has no cycle.
     """
-    if g.n < 2 or g.n % 2 == 1:
-        raise ValueError(f"need an even vertex count >= 2, got {g.n}")
-    if not is_connected(g):
+    n = g.n
+    if n < 2 or n % 2 == 1:
+        raise ValueError(f"need an even vertex count >= 2, got {n}")
+    parent = [0] * n
+    order = [0]
+    seen = 1
+    for x in order:  # order grows while it is read: a FIFO queue
+        fresh = g.rows[x] & ~seen
+        seen |= fresh
+        for y in iter_bits(fresh):
+            parent[y] = x
+            order.append(y)
+    if len(order) != n:
         raise ValueError("graph must be connected")
 
-    parent = {0: None}
-    order = [0]
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for y in iter_bits(g.rows[x]):
-            if y not in parent:
-                parent[y] = x
-                order.append(y)
-                queue.append(y)
-
-    fdeg = [0] * g.n
-    chosen: set[Edge] = set()
+    f = [0] * n
     for v in reversed(order[1:]):
-        if fdeg[v] % 2 == 0:
+        if not f[v].bit_count() & 1:
             p = parent[v]
-            chosen.add(_norm_edge(v, p))
-            fdeg[v] += 1
-            fdeg[p] += 1
-    assert all(d % 2 == 1 for d in fdeg), "parity sweep must leave all degrees odd"
-    return frozenset(chosen)
+            f[v] |= 1 << p
+            f[p] |= 1 << v
+    return f
 
 
-def _forest_components(n: int, edges: set[Edge]) -> list[tuple[list[int], dict[int, list[int]]]]:
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    seen: set[int] = set()
-    comps = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-                    queue.append(y)
-        comps.append((sorted(comp), adj))
-    return comps
+def odd_degree_spanning_subgraph(g: Graph) -> frozenset[Edge]:
+    """Spanning edge set of a connected even-order graph with all degrees odd.
+
+    The edges of :func:`_odd_spanning_rows`: a subforest of the BFS tree
+    rooted at vertex 0.
+    """
+    f = _odd_spanning_rows(g)
+    return frozenset((u, v) for u in range(g.n) for v in iter_bits(f[u] & ~((2 << u) - 1)))
 
 
-def _find_cycle(n: int, edges: set[Edge]) -> list[Edge] | None:
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    seen: set[int] = set()
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        stack = [(start, None)]
-        prev: dict[int, int | None] = {start: None}
-        while stack:
-            x, par = stack.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            for y in adj[x]:
-                if y == par:
-                    continue
-                if y in prev:
-                    # close the cycle through the two discovery paths
-                    px = [x]
-                    while px[-1] is not None:
-                        px.append(prev[px[-1]])
-                    py = [y]
-                    while py[-1] is not None:
-                        py.append(prev[py[-1]])
-                    common = next(a for a in px if a in set(py))
-                    cyc = px[: px.index(common) + 1] + py[: py.index(common)][::-1]
-                    return [_norm_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
-                prev[y] = x
-                stack.append((y, x))
-    return None
-
-
-def _tree_path(adj: dict[int, list[int]], src: int, dst: int) -> list[int]:
-    prev = {src: None}
-    queue = deque([src])
-    while queue:
-        x = queue.popleft()
-        if x == dst:
-            break
-        for y in adj[x]:
-            if y not in prev:
-                prev[y] = x
-                queue.append(y)
-    path = [dst]
-    while path[-1] != src:
-        path.append(prev[path[-1]])
-    return path[::-1]
+def _swap_chord(f: list[int], u: int, v: int) -> None:
+    """Replace the forest path from ``u`` to ``v`` by the chord ``uv``, in place."""
+    layers = [1 << u]
+    seen = 1 << u
+    while not (layers[-1] >> v) & 1:
+        frontier = 0
+        for x in iter_bits(layers[-1]):
+            frontier |= f[x]
+        frontier &= ~seen
+        seen |= frontier
+        layers.append(frontier)
+    # in a tree each vertex has one neighbour in the layer before its own
+    x = v
+    for layer in reversed(layers[:-1]):
+        back = f[x] & layer
+        y = back.bit_length() - 1
+        f[x] ^= 1 << y
+        f[y] ^= 1 << x
+        x = y
+    f[u] |= 1 << v
+    f[v] |= 1 << u
 
 
 def perfect_forest(g: Graph) -> PerfectForest:
     """Spanning forest of induced odd trees of a connected even-order graph.
 
-    Starting from :func:`odd_degree_spanning_subgraph`, remove the edges of
-    any cycle, then repeatedly resolve chords: if some tree on vertex set S
-    has a graph edge e inside S that is not a forest edge, replace the tree
-    path between e's endpoints by e.  Both rewrites keep every degree parity
-    and strictly decrease the edge count, so at termination each tree is an
-    induced odd tree.  Trees are scanned by smallest vertex and chords
-    lexicographically, making the output deterministic.
+    The forest is a list of rows, one neighbour bitmask per vertex, and
+    starts as :func:`_odd_spanning_rows`, which is acyclic with every
+    degree odd.  A worklist holds vertex sets to split into forest
+    components.  A component with a chord (a graph edge between two of its
+    vertices that is not a forest edge) takes its lexicographically first
+    chord in place of the tree path between the chord's ends; that keeps
+    every degree parity, drops at least one edge and splits the component,
+    so the component goes back on the worklist.  A component without a
+    chord is an induced odd tree.  Swaps in one component never touch
+    another, so the result equals that of always resolving the first chord
+    of the component with the smallest vertex.  Trees come out ordered by
+    smallest vertex.
+
+    Raises :class:`RuntimeError` if a resulting tree is not induced, has a
+    vertex of even degree, or has the wrong edge count; the check does not
+    rely on ``assert``.
     """
-    fset = set(odd_degree_spanning_subgraph(g))
-
-    def parities() -> list[int]:
-        deg = [0] * g.n
-        for u, v in fset:
-            deg[u] += 1
-            deg[v] += 1
-        return [d % 2 for d in deg]
-
-    guard = g.edge_count() + 1
-    while True:
-        cyc = _find_cycle(g.n, fset)
-        if cyc is None:
-            break
-        fset -= set(cyc)
-        guard -= 1
-        assert guard > 0, "cycle elimination must shrink the edge set"
-        assert parities() == [1] * g.n, "cycle removal must preserve degree parity"
-
-    while True:
-        swapped = False
-        for comp, adj in _forest_components(g.n, fset):
-            sm = 0
-            for v in comp:
-                sm |= 1 << v
-            chord = None
-            for u in comp:
-                row = g.rows[u] & sm & ~((1 << (u + 1)) - 1)
-                for v in iter_bits(row):
-                    if _norm_edge(u, v) not in fset:
-                        chord = (u, v)
-                        break
-                if chord:
+    rows = g.rows
+    f = _odd_spanning_rows(g)
+    work = [(1 << g.n) - 1]
+    done: list[int] = []
+    while work:
+        rest = work.pop()
+        while rest:
+            comp = reachable_mask(f, (rest & -rest).bit_length() - 1, rest)
+            rest &= ~comp
+            for u in iter_bits(comp):
+                chords = rows[u] & comp & ~f[u] & ~((2 << u) - 1)
+                if chords:
+                    _swap_chord(f, u, (chords & -chords).bit_length() - 1)
+                    work.append(comp)
                     break
-            if chord is None:
-                continue
-            u, v = chord
-            path = _tree_path(adj, u, v)
-            for i in range(len(path) - 1):
-                fset.discard(_norm_edge(path[i], path[i + 1]))
-            fset.add(_norm_edge(u, v))
-            swapped = True
-            guard -= 1
-            assert guard > 0, "chord elimination must shrink the edge set"
-            assert parities() == [1] * g.n, "chord swap must preserve degree parity"
-            break
-        if not swapped:
-            break
+            else:
+                done.append(comp)
 
-    trees = [
-        tuple(sorted(_norm_edge(u, v) for u, v in _component_edges(comp, fset)))
-        for comp, _ in _forest_components(g.n, fset)
-    ]
-    covered = {v for tree in trees for e in tree for v in e}
-    assert covered == set(range(g.n)), "forest must span every vertex"
+    trees = []
+    for comp in sorted(done, key=lambda c: c & -c):
+        tree = []
+        for u in iter_bits(comp):
+            if f[u] != rows[u] & comp or not f[u].bit_count() & 1:
+                raise RuntimeError(f"forest tree at vertex {u} is not an induced odd tree")
+            tree.extend((u, v) for v in iter_bits(f[u] & ~((2 << u) - 1)))
+        if len(tree) != comp.bit_count() - 1:
+            raise RuntimeError(f"forest piece {sorted(iter_bits(comp))} is not a tree")
+        trees.append(tuple(tree))
     return PerfectForest(tuple(trees))
-
-
-def _component_edges(comp: Iterable[int], edges: set[Edge]) -> list[Edge]:
-    cs = set(comp)
-    return [e for e in edges if e[0] in cs]

@@ -108,24 +108,27 @@ def gadget_p3_end(a: int, b: int, c: int) -> Word:
 # -- small whole-graph base cases ----------------------------------------
 
 
+def _base_word(g: Graph, comp: Iterable[int]) -> tuple[Word, str]:
+    """Reversal word and tag for a connected piece on 2 or 3 vertices: K2, K3 or P3."""
+    vs = sorted(comp)
+    if len(vs) == 2:
+        return tuple(vs), "base/k2"
+    cm = mask_of(vs)
+    inner_deg2 = [v for v in vs if (g.rows[v] & cm).bit_count() == 2]
+    if len(inner_deg2) == 3:
+        p, q, r = vs
+        return (p, q, p, q, p, q, r, p, r), "base/k3"
+    b = inner_deg2[0]
+    a, c = (v for v in vs if v != b)
+    return (a, b, a, b, a, c, a, c, b), "base/p3"
+
+
 def base_case_word(g: Graph) -> CertifiedWord:
     """Color-reversal word for a graph that is exactly K2, K3, or P3."""
-    n = g.n
-    m = g.edge_count()
-    everything = frozenset(range(n))
-    if n == 2 and m == 1:
-        return CertifiedWord((0, 1), everything, 2, "base/k2")
-    if n == 3 and m == 3:
-        a, b, c = 0, 1, 2
-        word = (a, b, a, b, a, b, c, a, c)
-        return CertifiedWord(word, everything, 9, "base/k3")
-    if n == 3 and m == 2:
-        center = next(v for v in range(3) if g.degree(v) == 2)
-        a, c = sorted(v for v in range(3) if v != center)
-        b = center
-        word = (a, b, a, b, a, c, a, c, b)
-        return CertifiedWord(word, everything, 9, "base/p3")
-    raise ValueError("graph is not K2, K3, or P3")
+    if (g.n, g.edge_count()) not in ((2, 1), (3, 2), (3, 3)):
+        raise ValueError("graph is not K2, K3, or P3")
+    word, tag = _base_word(g, range(g.n))
+    return CertifiedWord(word, frozenset(range(g.n)), len(word), tag)
 
 
 # -- single-vertex flips --------------------------------------------------
@@ -214,12 +217,18 @@ def flip_single(g: Graph, a: int) -> CertifiedWord:
 
 def _check_induced_tree(g: Graph, t: RootedTree) -> None:
     vs = sorted(t.vertices)
-    tree_edges = set(t.edges)
-    for i, u in enumerate(vs):
-        for v in vs[i + 1 :]:
-            has = g.has_edge(u, v)
-            if has != ((u, v) in tree_edges):
-                raise ValueError(f"tree is not induced in the host graph at pair ({u}, {v})")
+    for u in vs:
+        g._check_vertex(u)
+    tmask = mask_of(vs)
+    tree_row = dict.fromkeys(vs, 0)
+    for u, v in t.edges:
+        tree_row[u] |= 1 << v
+        tree_row[v] |= 1 << u
+    for u in vs:
+        diff = ((g.rows[u] & tmask) ^ tree_row[u]) & ~((2 << u) - 1)
+        if diff:
+            v = (diff & -diff).bit_length() - 1
+            raise ValueError(f"tree is not induced in the host graph at pair ({u}, {v})")
 
 
 def reverse_odd_tree(g: Graph, t: RootedTree, r: int, anchor: Anchor = "end") -> CertifiedWord:
@@ -357,18 +366,8 @@ def reverse_odd_subgraph(g: Graph, s: Iterable[int]) -> CertifiedWord:
 
 def _reverse_component_word(g: Graph, comp: frozenset[int]) -> Word:
     m = len(comp)
-    if m == 2:
-        u, v = sorted(comp)
-        return (u, v)
-    if m == 3:
-        p, q, r = sorted(comp)
-        inner = [(x, y) for x, y in ((p, q), (p, r), (q, r)) if g.has_edge(x, y)]
-        if len(inner) == 3:
-            return (p, q, p, q, p, q, r, p, r)
-        center = next(v for v in (p, q, r) if sum(1 for e in inner if v in e) == 2)
-        a, c = sorted(comp - {center})
-        b = center
-        return (a, b, a, b, a, c, a, c, b)
+    if m in (2, 3):
+        return _base_word(g, comp)[0]
     if m % 2 == 0:
         return reverse_even_subgraph(g, comp, min(comp), "end").word
     return reverse_odd_subgraph(g, comp).word

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from locinv.graph_core import BicoloredGraph, Graph, _lc_rows
+from locinv.graph_core import BicoloredGraph, Graph, _lc_rows, iter_bits
 from locinv.partitioner import EdgePartition, PerfectForest, RootedTree
 
 
@@ -113,6 +113,103 @@ def min_flip_word_reference(b: BicoloredGraph, target: BicoloredGraph):
                 nxt.append(child)
         frontier = nxt
     return None
+
+
+def perfect_forest_reference(g: Graph) -> PerfectForest:
+    """Edge-set perfect forest, the construction before bitmask rows.
+
+    Grows a BFS tree from vertex 0 on dict adjacency, keeps a vertex's
+    parent edge when its degree so far is even (children first), then
+    swaps chords on edge tuples: after every swap the scan restarts at the
+    component with the smallest vertex and takes the lexicographically
+    first chord.  :func:`locinv.partitioner.perfect_forest` must return
+    the same forest.  The start is checked to be acyclic, which is why the
+    cycle pass this construction once had never removed an edge.
+    """
+    n = g.n
+    parent = {0: None}
+    order = [0]
+    queue = deque([0])
+    while queue:
+        x = queue.popleft()
+        for y in iter_bits(g.rows[x]):
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+                queue.append(y)
+    assert len(order) == n, "reference needs a connected graph"
+    fdeg = [0] * n
+    fset: set[tuple[int, int]] = set()
+    for v in reversed(order[1:]):
+        if fdeg[v] % 2 == 0:
+            p = parent[v]
+            fset.add((min(v, p), max(v, p)))
+            fdeg[v] += 1
+            fdeg[p] += 1
+    assert all(d % 2 == 1 for d in fdeg), "odd start"
+
+    def forest_components():
+        adj: dict[int, list[int]] = {}
+        for u, v in fset:
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        seen: set[int] = set()
+        comps = []
+        for start in sorted(adj):
+            if start in seen:
+                continue
+            comp = [start]
+            seen.add(start)
+            queue = deque([start])
+            while queue:
+                x = queue.popleft()
+                for y in adj[x]:
+                    if y not in seen:
+                        seen.add(y)
+                        comp.append(y)
+                        queue.append(y)
+            comps.append((sorted(comp), adj))
+        return comps
+
+    assert len(fset) == n - len(forest_components()), "the odd start must be a forest"
+
+    while True:
+        for comp, adj in forest_components():
+            sm = sum(1 << v for v in comp)
+            chord = next(
+                (
+                    (u, v)
+                    for u in comp
+                    for v in iter_bits(g.rows[u] & sm & ~((1 << (u + 1)) - 1))
+                    if (u, v) not in fset
+                ),
+                None,
+            )
+            if chord is None:
+                continue
+            u, v = chord
+            prev = {u: None}
+            queue = deque([u])
+            while v not in prev:
+                x = queue.popleft()
+                for y in adj[x]:
+                    if y not in prev:
+                        prev[y] = x
+                        queue.append(y)
+            x = v
+            while prev[x] is not None:
+                fset.discard((min(x, prev[x]), max(x, prev[x])))
+                x = prev[x]
+            fset.add(chord)
+            break
+        else:
+            break
+
+    trees = []
+    for comp, _ in forest_components():
+        cs = set(comp)
+        trees.append(tuple(sorted(e for e in fset if e[0] in cs)))
+    return PerfectForest(tuple(trees))
 
 
 def check_p3_partition(t: RootedTree, part: EdgePartition) -> None:

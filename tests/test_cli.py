@@ -5,9 +5,11 @@ import random
 
 import pytest
 
+import locinv.cli as cli
 from locinv.errors import Graph6Error
 from locinv.graph_core import Graph
 from locinv.cli import (
+    MAX_VERTICES,
     emit_edge_list,
     emit_graph6,
     format_colors,
@@ -108,6 +110,34 @@ def test_edge_list_errors():
         parse_edge_list("n 3\n1 1\n")  # loop
     with pytest.raises(ValueError):
         parse_edge_list("n 3\n0 1 2\n")
+
+
+def test_edge_list_vertex_count_limit():
+    assert parse_edge_list(f"n {MAX_VERTICES}\n0 1\n").n == MAX_VERTICES
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        parse_edge_list(f"n {MAX_VERTICES + 1}\n0 1\n")
+
+
+def _must_not_build(*args):
+    raise AssertionError("an over-limit vertex count reached the graph or word builder")
+
+
+@pytest.mark.parametrize("count", [10**20, 10**9])
+def test_reverse_refuses_huge_vertex_count(tmp_path, capsys, monkeypatch, count):
+    # the guard fails the test if the count got as far as an allocation
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(_must_not_build))
+    path = tmp_path / "huge.txt"
+    path.write_text(f"n {count}\n0 1\n")
+    assert main(["reverse", "-i", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line 1: vertex count {count} exceeds the limit")
+
+
+def test_gadget_refuses_huge_vertex_count(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "star_word", _must_not_build)
+    assert main(["gadget", "star", str(10**12)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: gadget star: vertex count {10**12} exceeds the limit")
 
 
 def test_colors_round_trip_and_errors():

@@ -5,7 +5,8 @@ from itertools import combinations
 
 import pytest
 
-from locinv.graph_core import Graph
+import locinv.partitioner as partitioner
+from locinv.graph_core import Graph, reachable_mask, upper_rows
 from locinv.partitioner import (
     RootedTree,
     odd_degree_spanning_subgraph,
@@ -16,6 +17,7 @@ from locinv.partitioner import (
 from helpers import (
     check_p3_partition,
     check_perfect_forest,
+    perfect_forest_reference,
     random_connected_graph,
     random_odd_tree,
 )
@@ -174,3 +176,44 @@ def test_perfect_forest_preconditions():
         perfect_forest(Graph.path(5))
     with pytest.raises(ValueError):
         perfect_forest(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+
+def test_perfect_forest_matches_reference_on_all_small_graphs():
+    # every labeled connected graph on 2, 4 or 6 vertices
+    count = 0
+    for n in (2, 4, 6):
+        full = (1 << n) - 1
+        for bits in range(1 << (n * (n - 1) // 2)):
+            rows = upper_rows(n, bits)
+            if reachable_mask(rows, 0, full) != full:
+                continue
+            g = Graph(n, tuple(rows))
+            assert perfect_forest(g) == perfect_forest_reference(g), g
+            count += 1
+    assert count == 1 + 38 + 26704
+
+
+def test_perfect_forest_matches_reference_on_random_graphs():
+    rng = random.Random(61)
+    for i in range(1200):
+        n = rng.choice(range(2, 41, 2))
+        extra = (0.02, 0.1, 0.3, 0.6, 0.9)[i % 5]
+        g = random_connected_graph(rng, n, extra)
+        forest = perfect_forest(g)
+        assert forest == perfect_forest_reference(g), g
+        if i % 10 == 0:
+            check_perfect_forest(g, forest)
+
+
+@pytest.mark.parametrize(
+    "g, start",
+    [
+        (Graph.complete(4), lambda g: [0] * g.n),  # no edges: every degree even
+        (Graph.path(4), lambda g: list(g.rows)),  # an induced tree with degree-2 vertices
+    ],
+)
+def test_perfect_forest_postcondition_rejects_even_degrees(monkeypatch, g, start):
+    # raised by a check, not an assert, so it also fires under python -O
+    monkeypatch.setattr(partitioner, "_odd_spanning_rows", start)
+    with pytest.raises(RuntimeError, match="not an induced odd tree"):
+        perfect_forest(g)

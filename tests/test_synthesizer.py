@@ -237,10 +237,15 @@ def test_reverse_odd_tree_embedded_in_larger_graph():
 
 
 def test_reverse_odd_tree_rejects_non_induced():
-    g = Graph.complete(4)
-    t = RootedTree(frozenset(range(4)), ((0, 1), (0, 2), (0, 3)), 0)
-    with pytest.raises(ValueError):
-        reverse_odd_tree(g, t, 0)
+    # the error names the first offending pair: smallest u, then smallest v > u
+    star = RootedTree(frozenset(range(4)), ((0, 1), (0, 2), (0, 3)), 0)
+    with pytest.raises(ValueError, match=r"at pair \(1, 2\)"):
+        reverse_odd_tree(Graph.complete(4), star, 0)  # graph edge missing from the tree
+    with pytest.raises(ValueError, match=r"at pair \(0, 2\)"):
+        reverse_odd_tree(Graph.path(4), star, 0)  # tree edge missing from the graph
+    outside = RootedTree(frozenset({0, 1, 2, 4}), ((0, 1), (0, 2), (0, 4)), 0)
+    with pytest.raises(ValueError, match=r"vertex 4 outside 0\.\.3"):
+        reverse_odd_tree(Graph.complete(4), outside, 0)
 
 
 # -- even and odd subgraph reversal -----------------------------------------------------
