@@ -26,7 +26,7 @@ from .errors import (
 )
 from .graph_core import BicoloredGraph, Coloring, Graph, apply_word, mask_of
 from .graph6 import emit_graph6, parse_graph6  # re-exported format codec
-from .oracle import DEFAULT_CAP, CrReport, exact_cr, summarize, survey
+from .oracle import DEFAULT_CAP, MAX_CAP, CrReport, exact_cr, summarize, survey
 from .synthesizer import (
     CertifiedWord,
     color_reversal_word,
@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="exact color reversal number by exhaustive search")
     p.add_argument("-i", "--input", required=True, help="edge-list file")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="vertex cap for the search")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help=f"vertex cap for the search, at most {MAX_CAP}")
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("survey", help="exact reports for all small connected graphs")

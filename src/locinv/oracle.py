@@ -12,7 +12,9 @@ up to a vertex cap.
 
 The default cap is 7 vertices; reachable orbits stay far below the raw
 state space (the 7-cycle reaches 134,656 states), and the survey of
-everything up to 5 vertices runs in well under a second.
+everything up to 5 vertices runs in well under a second.  No cap lifts a
+search above :data:`MAX_CAP` vertices: the move table alone has 2^n
+entries, and enumeration tries every vertex permutation.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ from .graph6 import emit_graph6
 from .synthesizer import color_reversal_word
 
 DEFAULT_CAP = 7
+# Ceiling on every search, whatever ``cap`` a caller passes: a larger
+# request raises CapExceededError before anything is allocated.
+MAX_CAP = 8
 
 
 # -- state packing ------------------------------------------------------
@@ -100,13 +105,15 @@ def min_flip_word(
     Plain breadth-first search over the n moves per state, so the returned
     word length is exactly the layer in which the target first appears.
     Moves are tried in vertex order, so the witness is the first shortest
-    word in that order of discovery.
+    word in that order of discovery.  Raises :class:`CapExceededError` on
+    more than ``cap`` vertices, or more than :data:`MAX_CAP`.
     """
     n = b.graph.n
     if target.graph.n != n:
         raise ValueError("source and target must have the same vertex count")
-    if n > cap:
-        raise CapExceededError(f"{n} vertices exceed the search cap {cap}")
+    limit = min(cap, MAX_CAP)
+    if n > limit:
+        raise CapExceededError(f"{n} vertices exceed the search cap {limit}")
 
     start = pack_state(b)
     goal = pack_state(target)
@@ -254,8 +261,9 @@ def survey(
     output is deterministic for fixed inputs.  ``jobs`` is capped at the
     CPU count, since more workers than cores only add processes.
     """
-    if n_max > cap:
-        raise CapExceededError(f"n_max {n_max} exceeds the search cap {cap}")
+    limit = min(cap, MAX_CAP)
+    if n_max > limit:
+        raise CapExceededError(f"n_max {n_max} exceeds the search cap {limit}")
     if graph6_lines is not None:
         from .graph6 import parse_graph6
 

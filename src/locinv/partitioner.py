@@ -1,20 +1,25 @@
 """Structural decompositions that feed word synthesis.
 
-Two constructions live here:
+Both constructions work on neighbour bitmask rows of a host graph
+(``rows[v]`` as in :attr:`locinv.graph_core.Graph.rows`) restricted to a
+vertex mask, so a piece of a larger graph is decomposed in place, with no
+relabelled copy:
 
-* :func:`p3_partition` splits the edges of a rooted odd tree (every vertex
-  of odd degree) into length-2 paths plus a single edge at the root, with
-  the properties the synthesizer relies on: path ends are children of their
-  center, the root is an end of the single edge, and every vertex is an end
-  of exactly one piece.
+* :func:`_p3_rows` splits the edges of a rooted odd tree (every vertex of
+  odd degree) into length-2 paths plus a single edge at the root, with the
+  properties the synthesizer relies on: path ends are children of their
+  center, the root is an end of the single edge, and every vertex is an
+  end of exactly one piece.  :func:`p3_partition` is its
+  :class:`RootedTree` form.
 
-* :func:`perfect_forest` finds a spanning forest of a connected even-order
-  graph whose trees are induced subgraphs and odd trees.  It works on one
-  neighbour bitmask per vertex.  It starts from an odd-degree spanning
-  subforest of a BFS tree, which is acyclic, so no cycle needs removing,
-  and then resolves chords one component at a time from a worklist; each
-  swap preserves every degree parity and strictly shrinks the edge set, so
-  the loop terminates with induced odd trees.
+* :func:`_forest_masks` finds a spanning forest of a connected even-order
+  induced subgraph whose trees are induced subgraphs and odd trees, one
+  vertex mask per tree.  It starts from an odd-degree spanning subforest
+  of a BFS tree, which is acyclic, so no cycle needs removing, and then
+  resolves chords one component at a time from a worklist; each swap
+  preserves every degree parity and strictly shrinks the edge set, so the
+  loop terminates with induced odd trees.  :func:`perfect_forest` is its
+  edge-tuple form for a whole graph.
 
 Both run in time polynomial in the graph size and are deterministic: ties
 break toward smaller vertex ids throughout.
@@ -24,8 +29,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
 
-from .graph_core import Graph, iter_bits, reachable_mask
+from .graph_core import Graph, iter_bits, mask_of, reachable_mask
 
 Edge = tuple[int, int]
 
@@ -118,6 +124,45 @@ class PerfectForest:
         )
 
 
+def _p3_rows(rows: Sequence[int], tree: int, root: int) -> EdgePartition:
+    """P3 partition of the odd tree on the vertex mask ``tree``, rooted at ``root``.
+
+    ``tree`` must be an induced odd tree of ``rows``, so its edges are
+    ``rows[v] & tree``.  This is the peel of :func:`p3_partition` read off
+    the BFS layers from the root: the vertices of the deepest layer are
+    leaves, and the deepest vertices next to a leaf are their parents one
+    layer up.  So the smallest such parent gives up its two smallest leaf
+    children as a triple, again and again, until it has none (every
+    non-root vertex has an even number of children), then the next parent
+    in increasing order, then the layer above.  The root keeps its largest
+    child, which forms the final edge.
+    """
+    layers = [1 << root]
+    seen = 1 << root
+    while True:
+        nxt = 0
+        for x in iter_bits(layers[-1]):
+            nxt |= rows[x]
+        nxt &= tree & ~seen
+        if not nxt:
+            break
+        seen |= nxt
+        layers.append(nxt)
+    triples: list[tuple[int, int, int]] = []
+    for d in range(len(layers) - 1, 0, -1):
+        below = layers[d]
+        for v in iter_bits(layers[d - 1]):
+            kids = rows[v] & below
+            while kids & (kids - 1):
+                u = kids & -kids
+                kids ^= u
+                w = kids & -kids
+                kids ^= w
+                triples.append((u.bit_length() - 1, v, w.bit_length() - 1))
+    # the last parent visited is the root, left with one child
+    return EdgePartition(tuple(triples), (root, kids.bit_length() - 1))
+
+
 def p3_partition(t: RootedTree) -> EdgePartition:
     """Partition an even-order odd tree into (end, center, end) triples and one edge.
 
@@ -126,62 +171,50 @@ def p3_partition(t: RootedTree) -> EdgePartition:
     leaves, and since deg(v) is odd and at least 3 it has two leaf children
     ``u < w`` to detach as the triple (u, v, w).  What remains is a smaller
     odd tree; after (n-2)/2 rounds only the root and one neighbor survive,
-    forming the final edge.
+    forming the final edge.  The tree is converted to rows once and
+    partitioned by :func:`_p3_rows`.
     """
     n = len(t.vertices)
     if n < 2 or n % 2 == 1:
         raise ValueError(f"need an even vertex count >= 2, got {n}")
     if not t.is_odd_tree():
         raise ValueError("every tree vertex must have odd degree")
-
-    depth = t.depths()
-    adj = t.adjacency()
-    triples: list[tuple[int, int, int]] = []
-    while len(adj) > 2:
-        leaves = {x for x, nb in adj.items() if len(nb) == 1}
-        candidates = [x for x, nb in adj.items() if nb & leaves]
-        v = min(candidates, key=lambda x: (-depth[x], x))
-        leaf_children = sorted(
-            u for u in adj[v] if u in leaves and depth[u] == depth[v] + 1
-        )
-        assert len(leaf_children) >= 2, "deepest leaf-neighbor must own two leaf children"
-        u, w = leaf_children[0], leaf_children[1]
-        triples.append((u, v, w))
-        for x in (u, w):
-            adj[v].discard(x)
-            del adj[x]
-
-    (a, b) = sorted(adj)
-    assert t.root in (a, b), "the root survives every peeling round"
-    other = b if a == t.root else a
-    return EdgePartition(tuple(triples), (t.root, other))
+    rows = [0] * (max(t.vertices) + 1)
+    for u, v in t.edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return _p3_rows(rows, mask_of(t.vertices), t.root)
 
 
-def _odd_spanning_rows(g: Graph) -> list[int]:
-    """Forest rows of an odd-degree spanning subgraph of a connected even-order graph.
+def _odd_spanning_rows(rows: Sequence[int], within: int) -> list[int]:
+    """Forest rows of an odd-degree spanning subgraph of ``rows`` on ``within``.
 
-    Root a BFS spanning tree at vertex 0 and sweep it children-first: a
-    vertex keeps the edge to its parent exactly when its degree so far is
-    even.  Every non-root ends odd by construction, and the root follows
-    because the total degree sum is even and n is even.  Only tree edges
-    are kept, so the result has no cycle.
+    The subgraph induced by the mask ``within`` must be connected with an
+    even vertex count.  Root a BFS spanning tree at its smallest vertex and
+    sweep it children-first: a vertex keeps the edge to its parent exactly
+    when its degree so far is even.  Every non-root ends odd by
+    construction, and the root follows because the total degree sum is even
+    and the vertex count is even.  Only tree edges are kept, so the result
+    has no cycle.  The result has one row per entry of ``rows``; rows
+    outside ``within`` stay 0.
     """
-    n = g.n
-    if n < 2 or n % 2 == 1:
-        raise ValueError(f"need an even vertex count >= 2, got {n}")
-    parent = [0] * n
-    order = [0]
-    seen = 1
+    k = within.bit_count()
+    if k < 2 or k % 2 == 1:
+        raise ValueError(f"need an even vertex count >= 2, got {k}")
+    root = (within & -within).bit_length() - 1
+    parent = [0] * len(rows)
+    order = [root]
+    seen = 1 << root
     for x in order:  # order grows while it is read: a FIFO queue
-        fresh = g.rows[x] & ~seen
+        fresh = rows[x] & within & ~seen
         seen |= fresh
         for y in iter_bits(fresh):
             parent[y] = x
             order.append(y)
-    if len(order) != n:
+    if len(order) != k:
         raise ValueError("graph must be connected")
 
-    f = [0] * n
+    f = [0] * len(rows)
     for v in reversed(order[1:]):
         if not f[v].bit_count() & 1:
             p = parent[v]
@@ -196,7 +229,7 @@ def odd_degree_spanning_subgraph(g: Graph) -> frozenset[Edge]:
     The edges of :func:`_odd_spanning_rows`: a subforest of the BFS tree
     rooted at vertex 0.
     """
-    f = _odd_spanning_rows(g)
+    f = _odd_spanning_rows(g.rows, (1 << g.n) - 1)
     return frozenset((u, v) for u in range(g.n) for v in iter_bits(f[u] & ~((2 << u) - 1)))
 
 
@@ -223,29 +256,29 @@ def _swap_chord(f: list[int], u: int, v: int) -> None:
     f[v] |= 1 << u
 
 
-def perfect_forest(g: Graph) -> PerfectForest:
-    """Spanning forest of induced odd trees of a connected even-order graph.
+def _forest_masks(rows: Sequence[int], within: int) -> list[int]:
+    """Perfect forest of the subgraph of ``rows`` induced by ``within``, one mask per tree.
 
-    The forest is a list of rows, one neighbour bitmask per vertex, and
-    starts as :func:`_odd_spanning_rows`, which is acyclic with every
-    degree odd.  A worklist holds vertex sets to split into forest
-    components.  A component with a chord (a graph edge between two of its
-    vertices that is not a forest edge) takes its lexicographically first
-    chord in place of the tree path between the chord's ends; that keeps
-    every degree parity, drops at least one edge and splits the component,
-    so the component goes back on the worklist.  A component without a
-    chord is an induced odd tree.  Swaps in one component never touch
-    another, so the result equals that of always resolving the first chord
-    of the component with the smallest vertex.  Trees come out ordered by
-    smallest vertex.
+    The subgraph must be connected with an even vertex count.  The forest
+    is a list of rows, one neighbour bitmask per vertex, and starts as
+    :func:`_odd_spanning_rows`, which is acyclic with every degree odd.  A
+    worklist holds vertex sets to split into forest components.  A
+    component with a chord (a graph edge between two of its vertices that
+    is not a forest edge) takes its lexicographically first chord in place
+    of the tree path between the chord's ends; that keeps every degree
+    parity, drops at least one edge and splits the component, so the
+    component goes back on the worklist.  A component without a chord is an
+    induced odd tree, so its edges are ``rows[v] & mask``.  Swaps in one
+    component never touch another, so the result equals that of always
+    resolving the first chord of the component with the smallest vertex.
+    Trees come out ordered by smallest vertex.
 
     Raises :class:`RuntimeError` if a resulting tree is not induced, has a
     vertex of even degree, or has the wrong edge count; the check does not
     rely on ``assert``.
     """
-    rows = g.rows
-    f = _odd_spanning_rows(g)
-    work = [(1 << g.n) - 1]
+    f = _odd_spanning_rows(rows, within)
+    work = [within]
     done: list[int] = []
     while work:
         rest = work.pop()
@@ -261,14 +294,30 @@ def perfect_forest(g: Graph) -> PerfectForest:
             else:
                 done.append(comp)
 
-    trees = []
-    for comp in sorted(done, key=lambda c: c & -c):
-        tree = []
+    done.sort(key=lambda c: c & -c)
+    for comp in done:
+        degrees = 0
         for u in iter_bits(comp):
             if f[u] != rows[u] & comp or not f[u].bit_count() & 1:
                 raise RuntimeError(f"forest tree at vertex {u} is not an induced odd tree")
-            tree.extend((u, v) for v in iter_bits(f[u] & ~((2 << u) - 1)))
-        if len(tree) != comp.bit_count() - 1:
+            degrees += f[u].bit_count()
+        if degrees != 2 * (comp.bit_count() - 1):
             raise RuntimeError(f"forest piece {sorted(iter_bits(comp))} is not a tree")
-        trees.append(tuple(tree))
-    return PerfectForest(tuple(trees))
+    return done
+
+
+def perfect_forest(g: Graph) -> PerfectForest:
+    """Spanning forest of induced odd trees of a connected even-order graph.
+
+    The trees of :func:`_forest_masks` on all of ``g``, as sorted edge
+    tuples ordered by smallest vertex.  Raises :class:`ValueError` on an
+    odd-order or disconnected graph and :class:`RuntimeError` if the
+    forest fails its postcondition.
+    """
+    rows = g.rows
+    return PerfectForest(
+        tuple(
+            tuple((u, v) for u in iter_bits(comp) for v in iter_bits(rows[u] & comp & ~((2 << u) - 1)))
+            for comp in _forest_masks(rows, (1 << g.n) - 1)
+        )
+    )

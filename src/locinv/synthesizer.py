@@ -45,7 +45,13 @@ from .graph_core import (
     reduce_word,
     replay,
 )
-from .partitioner import RootedTree, p3_partition, perfect_forest
+from .partitioner import (  # noqa: F401  p3_partition, perfect_forest: wrapped by bench/tracer.py
+    RootedTree,
+    _forest_masks,
+    _p3_rows,
+    p3_partition,
+    perfect_forest,
+)
 
 Anchor = Literal["end", "start"]
 
@@ -134,26 +140,26 @@ def base_case_word(g: Graph) -> CertifiedWord:
 # -- single-vertex flips --------------------------------------------------
 
 
-def _triangle_at(g: Graph, a: int, allowed: int) -> tuple[int, int] | None:
-    """Smallest (b, c) completing a triangle at ``a`` inside the mask."""
-    nb = g.rows[a] & allowed
+def _vertex_gadget(g: Graph, a: int, allowed: int) -> tuple[Word, str] | None:
+    """Seven-letter word flipping exactly {a} inside the mask ``allowed``, and its kind.
+
+    A triangle abc gives ``gadget_triangle(a, b, c)`` (kind ``"triangle"``,
+    smallest b, then smallest c > b); failing that, an induced path a-c-b
+    with ab a non-edge gives ``gadget_p3_end(a, b, c)`` (kind ``"p3-end"``,
+    smallest b, then smallest c).  None if neither lies inside the mask.
+    This is the one search behind :func:`flip_single`,
+    :func:`_single_flip_word` and :func:`reverse_odd_subgraph`.
+    """
+    row_a = g.rows[a]
+    nb = row_a & allowed
     for b in iter_bits(nb):
-        row = g.rows[b] & nb & ~((1 << (b + 1)) - 1)
-        for c in iter_bits(row):
-            return (b, c)
-    return None
-
-
-def _p3_end_at(g: Graph, a: int, allowed: int) -> tuple[int, int] | None:
-    """Smallest (b, c) with a, b neighbors of c, ab a non-edge, inside the mask."""
-    na = g.rows[a] & allowed
-    for b in range(g.n):
-        if b == a or not (allowed >> b) & 1 or (g.rows[a] >> b) & 1:
-            continue
-        common = g.rows[b] & na
+        third = g.rows[b] & nb & ~((2 << b) - 1)
+        if third:
+            return gadget_triangle(a, b, (third & -third).bit_length() - 1), "triangle"
+    for b in iter_bits(allowed & ~row_a & ~(1 << a)):
+        common = g.rows[b] & nb
         if common:
-            c = (common & -common).bit_length() - 1
-            return (b, c)
+            return gadget_p3_end(a, b, (common & -common).bit_length() - 1), "p3-end"
     return None
 
 
@@ -171,15 +177,10 @@ def _single_flip_word(g: Graph, a: int) -> tuple[Word, str]:
     for x in iter_bits(nb):
         if g.rows[x].bit_count() == 1:
             return (x,), "single/pendant-neighbor"
-    full = (1 << g.n) - 1
-    tri = _triangle_at(g, a, full)
-    if tri is not None:
-        b, c = tri
-        return gadget_triangle(a, b, c), "single/triangle"
-    p3 = _p3_end_at(g, a, full)
-    assert p3 is not None, "a non-pendant neighborhood yields a triangle or an induced path"
-    b, c = p3
-    return gadget_p3_end(a, b, c), "single/p3-end"
+    found = _vertex_gadget(g, a, (1 << g.n) - 1)
+    assert found is not None, "a non-pendant neighborhood yields a triangle or an induced path"
+    word, kind = found
+    return word, f"single/{kind}"
 
 
 def flip_single(g: Graph, a: int) -> CertifiedWord:
@@ -196,15 +197,10 @@ def flip_single(g: Graph, a: int) -> CertifiedWord:
         raise ValueError(f"need at least 3 vertices, got {g.n}")
     if not is_connected(g):
         raise ValueError("graph must be connected")
-    full = (1 << g.n) - 1
-    tri = _triangle_at(g, a, full)
-    if tri is not None:
-        b, c = tri
-        return CertifiedWord(gadget_triangle(a, b, c), frozenset({a}), 7, "single/triangle")
-    p3 = _p3_end_at(g, a, full)
-    if p3 is not None:
-        b, c = p3
-        return CertifiedWord(gadget_p3_end(a, b, c), frozenset({a}), 7, "single/p3-end")
+    found = _vertex_gadget(g, a, (1 << g.n) - 1)
+    if found is not None:
+        word, kind = found
+        return CertifiedWord(word, frozenset({a}), 7, f"single/{kind}")
     # no triangle and no induced-path end means every neighbor of a is
     # pendant, i.e. the graph is a star centered at a
     x, y = sorted(iter_bits(g.rows[a]))[:2]
@@ -231,29 +227,16 @@ def _check_induced_tree(g: Graph, t: RootedTree) -> None:
             raise ValueError(f"tree is not induced in the host graph at pair ({u}, {v})")
 
 
-def reverse_odd_tree(g: Graph, t: RootedTree, r: int, anchor: Anchor = "end") -> CertifiedWord:
-    """Flip all vertices of an induced odd tree, anchored at ``r``.
+def _odd_tree_word(rows: Sequence[int], tree: int, r: int, anchor: Anchor) -> Word:
+    """Reversal word of the induced odd tree on the vertex mask ``tree`` (see :func:`reverse_odd_tree`).
 
-    The word has length exactly 4k-4 for a k-vertex tree and ends
-    (``anchor="end"``) or starts (``anchor="start"``) with ``r``.  It is
-    assembled from the tree's path partition: an 8-letter path-ends gadget
-    per triple, except that the triple meeting the root edge merges with
-    the edge gadget into a single 12-letter block.
+    ``rows`` are the host graph's rows; the tree is induced, so its edges
+    are ``rows[x] & tree``.
     """
-    if r not in t.vertices:
-        raise ValueError(f"anchor vertex {r} is not in the tree")
-    if anchor not in ("end", "start"):
-        raise ValueError(f"anchor must be 'end' or 'start', got {anchor!r}")
-    k = len(t.vertices)
-    if k < 4:
-        raise ValueError(f"need at least 4 tree vertices, got {k}")
-    _check_induced_tree(g, t)
-
-    part = p3_partition(RootedTree(t.vertices, t.edges, r))
+    part = _p3_rows(rows, tree, r)
     v = part.k2[1]
-    adj = t.adjacency()
 
-    if len(adj[r]) > 1:
+    if (rows[r] & tree).bit_count() > 1:
         # r centers some triple; merge the root edge with one of them
         x, _, y = next(tr for tr in part.p3s if tr[1] == r)
         rest = [tr for tr in part.p3s if tr != (x, r, y)]
@@ -273,8 +256,57 @@ def reverse_odd_tree(g: Graph, t: RootedTree, r: int, anchor: Anchor = "end") ->
         word = tuple(middle) + block_end
     else:
         word = block_start + tuple(middle)
-    assert len(word) == 4 * k - 4
+    assert len(word) == 4 * tree.bit_count() - 4
+    return word
+
+
+def reverse_odd_tree(g: Graph, t: RootedTree, r: int, anchor: Anchor = "end") -> CertifiedWord:
+    """Flip all vertices of an induced odd tree, anchored at ``r``.
+
+    The word has length exactly 4k-4 for a k-vertex tree and ends
+    (``anchor="end"``) or starts (``anchor="start"``) with ``r``.  It is
+    assembled from the tree's path partition: an 8-letter path-ends gadget
+    per triple, except that the triple meeting the root edge merges with
+    the edge gadget into a single 12-letter block.
+    """
+    if r not in t.vertices:
+        raise ValueError(f"anchor vertex {r} is not in the tree")
+    if anchor not in ("end", "start"):
+        raise ValueError(f"anchor must be 'end' or 'start', got {anchor!r}")
+    k = len(t.vertices)
+    if k < 4:
+        raise ValueError(f"need at least 4 tree vertices, got {k}")
+    _check_induced_tree(g, t)
+    if k % 2 == 1:
+        raise ValueError(f"need an even vertex count >= 2, got {k}")
+    tree = mask_of(t.vertices)
+    if not all((g.rows[u] & tree).bit_count() & 1 for u in t.vertices):
+        raise ValueError("every tree vertex must have odd degree")
+    word = _odd_tree_word(g.rows, tree, r, anchor)
     return CertifiedWord(word, frozenset(t.vertices), 4 * k - 4, f"odd-tree/{anchor}")
+
+
+def _even_subgraph_word(rows: Sequence[int], within: int, v: int, anchor: Anchor) -> Word:
+    """Reversal word of the subgraph induced by the mask ``within`` (see :func:`reverse_even_subgraph`)."""
+    trees = _forest_masks(rows, within)
+    anchor_tree = next(tree for tree in trees if (tree >> v) & 1)
+    others = [tree for tree in trees if tree != anchor_tree]
+    ordered = others + [anchor_tree] if anchor == "end" else [anchor_tree] + others
+
+    parts: list[int] = []
+    for tree in ordered:
+        if tree != anchor_tree:
+            if tree.bit_count() == 2:
+                a, b = iter_bits(tree)
+                parts.extend(gadget_edge(a, b))
+            else:
+                parts.extend(_odd_tree_word(rows, tree, (tree & -tree).bit_length() - 1, "end"))
+        elif tree.bit_count() == 2:
+            u = (tree ^ (1 << v)).bit_length() - 1
+            parts.extend(gadget_edge(v, u) if anchor == "start" else gadget_edge(u, v))
+        else:
+            parts.extend(_odd_tree_word(rows, tree, v, anchor))
+    return tuple(parts)
 
 
 def reverse_even_subgraph(
@@ -285,7 +317,8 @@ def reverse_even_subgraph(
     Decomposes the subgraph into a perfect forest and emits an edge gadget
     per two-vertex tree and an anchored odd-tree reversal per larger tree;
     the tree containing ``v`` goes last (or first) so the whole word ends
-    (or starts) with ``v``.  Total length is at most 4|s|-4.
+    (or starts) with ``v``.  Total length is at most 4|s|-4.  The forest
+    and every tree are worked on ``g.rows`` restricted to vertex masks.
     """
     s = frozenset(s)
     if v not in s:
@@ -294,33 +327,7 @@ def reverse_even_subgraph(
         raise ValueError(f"need an even vertex count >= 4, got {len(s)}")
     if not induced_connected(g, s):
         raise ValueError("induced subgraph must be connected")
-
-    sub, ids = g.induced(s)
-    forest = perfect_forest(sub)
-    trees = [
-        tuple(sorted((ids[a], ids[b]) for a, b in tree)) for tree in forest.trees
-    ]
-    anchor_tree = next(tr for tr in trees if any(v in e for e in tr))
-    others = [tr for tr in trees if tr is not anchor_tree]
-    ordered = others + [anchor_tree] if anchor == "end" else [anchor_tree] + others
-
-    parts: list[int] = []
-    for tree in ordered:
-        tree_vertices = frozenset(x for e in tree for x in e)
-        if len(tree) == 1:
-            (a, b) = tree[0]
-            if tree is anchor_tree:
-                u = a if b == v else b
-                letters = gadget_edge(v, u) if anchor == "start" else gadget_edge(u, v)
-            else:
-                letters = gadget_edge(a, b)
-        else:
-            root = v if tree is anchor_tree else min(tree_vertices)
-            rt = RootedTree(tree_vertices, tree, root)
-            letters = reverse_odd_tree(g, rt, root, anchor if tree is anchor_tree else "end").word
-        parts.extend(letters)
-
-    word = tuple(parts)
+    word = _even_subgraph_word(g.rows, mask_of(s), v, anchor)
     return CertifiedWord(word, s, 4 * len(s) - 4, f"even-subgraph/{anchor}")
 
 
@@ -340,22 +347,21 @@ def reverse_odd_subgraph(g: Graph, s: Iterable[int]) -> CertifiedWord:
 
     a = next(v for v in sorted(s) if induced_connected(g, s - {v}))
     smask = mask_of(s)
+    rest = smask & ~(1 << a)
 
-    tri = _triangle_at(g, a, smask)
-    if tri is not None:
-        b, c = tri
-        w1 = gadget_triangle(a, b, c)
-        w2 = reverse_even_subgraph(g, s - {a}, c, "start").word
-        assert w1[-1] == c == w2[0], "splice needs the shared anchor letter"
+    found = _vertex_gadget(g, a, smask)
+    assert found is not None, "a non-cut vertex off every triangle ends an induced path"
+    w1, kind = found
+    if kind == "triangle":
+        c = w1[-1]  # gadget_triangle(a, b, c) ends with c
+        w2 = _even_subgraph_word(g.rows, rest, c, "start")
+        assert w2[0] == c, "splice needs the shared anchor letter"
         word = w1[:-1] + w2[1:]
         tag = "odd-subgraph/triangle"
     else:
-        p3 = _p3_end_at(g, a, smask)
-        assert p3 is not None, "a non-cut vertex off every triangle ends an induced path"
-        b, c = p3
-        w1 = gadget_p3_end(a, b, c)
-        w2 = reverse_even_subgraph(g, s - {a}, c, "end").word
-        assert w2[-1] == c == w1[0], "splice needs the shared anchor letter"
+        c = w1[0]  # gadget_p3_end(a, b, c) starts with c
+        w2 = _even_subgraph_word(g.rows, rest, c, "end")
+        assert w2[-1] == c, "splice needs the shared anchor letter"
         word = w2[:-1] + w1[1:]
         tag = "odd-subgraph/p3"
     return CertifiedWord(word, s, 4 * len(s) - 3, tag)
@@ -369,7 +375,7 @@ def _reverse_component_word(g: Graph, comp: frozenset[int]) -> Word:
     if m in (2, 3):
         return _base_word(g, comp)[0]
     if m % 2 == 0:
-        return reverse_even_subgraph(g, comp, min(comp), "end").word
+        return _even_subgraph_word(g.rows, mask_of(comp), min(comp), "end")
     return reverse_odd_subgraph(g, comp).word
 
 
@@ -442,7 +448,7 @@ def _flip_set_word(g: Graph, s: frozenset[int]) -> Word:
                 word, _ = _single_flip_word(g, center)
                 parts.extend(word)
         elif m % 2 == 0:
-            parts.extend(reverse_even_subgraph(g, comp, min(comp), "end").word)
+            parts.extend(_even_subgraph_word(g.rows, mask_of(comp), min(comp), "end"))
         else:
             parts.extend(reverse_odd_subgraph(g, comp).word)
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from itertools import product
 
 from locinv.graph_core import BicoloredGraph, Graph, _lc_rows, iter_bits
 from locinv.partitioner import EdgePartition, PerfectForest, RootedTree
@@ -210,6 +211,95 @@ def perfect_forest_reference(g: Graph) -> PerfectForest:
         cs = set(comp)
         trees.append(tuple(sorted(e for e in fset if e[0] in cs)))
     return PerfectForest(tuple(trees))
+
+
+def p3_partition_reference(t: RootedTree) -> EdgePartition:
+    """Dict-adjacency P3 partition, the construction before bitmask rows.
+
+    Each round recomputes the leaves and peels two leaf children off the
+    deepest vertex next to a leaf (smallest id on ties), until the root
+    and one neighbour remain.  :func:`locinv.partitioner._p3_rows` must
+    return the same partition.
+    """
+    n = len(t.vertices)
+    assert n >= 2 and n % 2 == 0 and t.is_odd_tree(), "reference needs an even odd tree"
+    depth = t.depths()
+    adj = t.adjacency()
+    triples = []
+    while len(adj) > 2:
+        leaves = {x for x, nb in adj.items() if len(nb) == 1}
+        candidates = [x for x, nb in adj.items() if nb & leaves]
+        v = min(candidates, key=lambda x: (-depth[x], x))
+        leaf_children = sorted(
+            u for u in adj[v] if u in leaves and depth[u] == depth[v] + 1
+        )
+        assert len(leaf_children) >= 2, "deepest leaf-neighbor must own two leaf children"
+        u, w = leaf_children[0], leaf_children[1]
+        triples.append((u, v, w))
+        for x in (u, w):
+            adj[v].discard(x)
+            del adj[x]
+    (a, b) = sorted(adj)
+    assert t.root in (a, b), "the root survives every peeling round"
+    other = b if a == t.root else a
+    return EdgePartition(tuple(triples), (t.root, other))
+
+
+def labeled_odd_trees(n: int):
+    """Every odd tree on the labeled vertices 0..n-1, as a sorted edge tuple.
+
+    A vertex's degree is one more than its count in the tree's Prüfer
+    sequence, so odd trees are exactly the sequences in which every vertex
+    occurs an even number of times.
+    """
+    if n == 2:
+        yield ((0, 1),)
+        return
+    for seq in product(range(n), repeat=n - 2):
+        if any(seq.count(v) % 2 for v in set(seq)):
+            continue
+        degree = [1] * n
+        for v in seq:
+            degree[v] += 1
+        edges = []
+        for v in seq:
+            leaf = degree.index(1)
+            edges.append((min(leaf, v), max(leaf, v)))
+            degree[leaf] -= 1
+            degree[v] -= 1
+        u, w = (x for x in range(n) if degree[x] == 1)
+        edges.append((u, w))
+        yield tuple(sorted(edges))
+
+
+def _tree_code(n: int, edges) -> str:
+    """Canonical string of a free tree: the least rooted encoding over all roots."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+
+    def code(x: int, parent: int) -> str:
+        return "(" + "".join(sorted(code(y, x) for y in adj[x] if y != parent)) + ")"
+
+    return min(code(r, -1) for r in range(n))
+
+
+def odd_tree_shapes(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """One labeled representative of every odd tree on n vertices up to isomorphism.
+
+    Grown from K2 by hanging two fresh leaves on one vertex, which reaches
+    every odd tree (see :func:`random_odd_tree`).
+    """
+    level = {_tree_code(2, [(0, 1)]): ((0, 1),)}
+    for size in range(4, n + 1, 2):
+        grown: dict[str, tuple[tuple[int, int], ...]] = {}
+        for edges in level.values():
+            for host in range(size - 2):
+                bigger = edges + ((host, size - 2), (host, size - 1))
+                grown.setdefault(_tree_code(size, bigger), bigger)
+        level = grown
+    return list(level.values())
 
 
 def check_p3_partition(t: RootedTree, part: EdgePartition) -> None:

@@ -6,9 +6,11 @@ import random
 import pytest
 
 import locinv.cli as cli
+import locinv.oracle as oracle
 from locinv.errors import Graph6Error
 from locinv.graph_core import Graph
 from locinv.cli import (
+    MAX_CAP,
     MAX_VERTICES,
     emit_edge_list,
     emit_graph6,
@@ -138,6 +140,17 @@ def test_gadget_refuses_huge_vertex_count(capsys, monkeypatch):
     assert main(["gadget", "star", str(10**12)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: gadget star: vertex count {10**12} exceeds the limit")
+
+
+def test_exact_refuses_a_cap_above_the_search_ceiling(tmp_path, capsys, monkeypatch):
+    # a 2^40-entry move table must never be started
+    monkeypatch.setattr(oracle, "_move_table", _must_not_build)
+    path = tmp_path / "p40.txt"
+    path.write_text(emit_edge_list(Graph.path(40)))
+    assert main(["exact", "--cap", "40", "-i", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: 40 vertices exceed the search cap {MAX_CAP}\n"
 
 
 def test_colors_round_trip_and_errors():

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+import locinv.oracle as oracle
 from locinv.errors import CapExceededError
 from locinv.graph_core import (
     BicoloredGraph,
@@ -14,6 +15,7 @@ from locinv.graph_core import (
     flip,
 )
 from locinv.oracle import (
+    MAX_CAP,
     connected_graphs,
     exact_cr,
     min_flip_word,
@@ -176,6 +178,22 @@ def test_min_flip_word_cap():
         min_flip_word(b, flip(b, range(8)))
     # explicit cap raise permits it
     assert min_flip_word(b, b, cap=8) == (0, ())
+
+
+def _must_not_search(*args):
+    raise AssertionError("a search above MAX_CAP reached the move table or the enumerator")
+
+
+def test_search_ceiling_holds_whatever_the_cap(monkeypatch):
+    assert MAX_CAP >= 8  # n = 8 probes stay possible
+    monkeypatch.setattr(oracle, "_move_table", _must_not_search)
+    monkeypatch.setattr(oracle, "connected_graphs", _must_not_search)
+    b = BicoloredGraph(Graph.path(MAX_CAP + 1), all_plus(MAX_CAP + 1))
+    for cap in (MAX_CAP + 1, 40, 10**6):
+        with pytest.raises(CapExceededError, match=f"search cap {MAX_CAP}$"):
+            min_flip_word(b, flip(b, range(MAX_CAP + 1)), cap=cap)
+        with pytest.raises(CapExceededError, match=f"search cap {MAX_CAP}$"):
+            survey(MAX_CAP + 1, cap=cap)
 
 
 # -- exact cr -------------------------------------------------------------------

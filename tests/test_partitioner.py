@@ -6,9 +6,11 @@ from itertools import combinations
 import pytest
 
 import locinv.partitioner as partitioner
-from locinv.graph_core import Graph, reachable_mask, upper_rows
+from locinv.graph_core import Graph, iter_bits, mask_of, reachable_mask, upper_rows
 from locinv.partitioner import (
     RootedTree,
+    _forest_masks,
+    _p3_rows,
     odd_degree_spanning_subgraph,
     p3_partition,
     perfect_forest,
@@ -17,8 +19,12 @@ from locinv.partitioner import (
 from helpers import (
     check_p3_partition,
     check_perfect_forest,
+    labeled_odd_trees,
+    odd_tree_shapes,
+    p3_partition_reference,
     perfect_forest_reference,
     random_connected_graph,
+    random_graph,
     random_odd_tree,
 )
 
@@ -93,6 +99,74 @@ def test_partition_is_deterministic():
     rng = random.Random(43)
     t = random_odd_tree(rng, 12)
     assert p3_partition(t) == p3_partition(t)
+
+
+def _tree_rows(n: int, edges) -> list[int]:
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
+
+
+def test_p3_rows_match_reference_on_every_small_odd_tree():
+    # every labeled odd tree on up to 8 vertices, with every root
+    count = 0
+    for n in (2, 4, 6, 8):
+        full = (1 << n) - 1
+        for edges in labeled_odd_trees(n):
+            rows = _tree_rows(n, edges)
+            for root in range(n):
+                expected = p3_partition_reference(RootedTree(frozenset(range(n)), edges, root))
+                assert _p3_rows(rows, full, root) == expected, (edges, root)
+                count += 1
+    assert count == 2 * 1 + 4 * 4 + 6 * 96 + 8 * 5888
+
+
+def test_p3_rows_match_reference_on_every_ten_vertex_odd_tree():
+    # all 7 odd trees on 10 vertices up to isomorphism, each under its own
+    # labels and 30 seeded relabelings, with every root
+    rng = random.Random(71)
+    shapes = odd_tree_shapes(10)
+    assert len(shapes) == 7
+    for shape in shapes:
+        for k in range(31):
+            perm = list(range(10))
+            if k:
+                rng.shuffle(perm)
+            edges = tuple((perm[u], perm[v]) for u, v in shape)
+            rows = _tree_rows(10, edges)
+            for root in range(10):
+                expected = p3_partition_reference(RootedTree(frozenset(range(10)), edges, root))
+                assert _p3_rows(rows, (1 << 10) - 1, root) == expected, (edges, root)
+
+
+def test_p3_rows_match_reference_inside_a_host_graph():
+    # random odd trees placed on random vertices of a larger host graph,
+    # whose other vertices see the tree: the partition reads only rows & tree
+    rng = random.Random(73)
+    for _ in range(300):
+        k = rng.choice(range(2, 41, 2))
+        n = k + rng.randrange(0, 25)
+        t = random_odd_tree(rng, k)
+        place = rng.sample(range(n), k)
+        edges = [(place[u], place[v]) for u, v in t.edges]
+        host = random_graph(rng, n, rng.choice((0.1, 0.5, 0.9)))
+        rows = list(host.rows)
+        tree = mask_of(place)
+        for v in place:
+            rows[v] &= ~tree
+        for u, v in edges:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        for x in range(n):  # keep the rows symmetric
+            for y in iter_bits(rows[x]):
+                rows[y] |= 1 << x
+        g = Graph(n, tuple(rows))
+        assert all(g.rows[v] & tree == _tree_rows(n, edges)[v] for v in place)
+        root = place[t.root]
+        expected = p3_partition_reference(RootedTree(frozenset(place), tuple(edges), root))
+        assert _p3_rows(g.rows, tree, root) == expected
 
 
 # -- odd-degree spanning subgraph -----------------------------------------------
@@ -208,8 +282,8 @@ def test_perfect_forest_matches_reference_on_random_graphs():
 @pytest.mark.parametrize(
     "g, start",
     [
-        (Graph.complete(4), lambda g: [0] * g.n),  # no edges: every degree even
-        (Graph.path(4), lambda g: list(g.rows)),  # an induced tree with degree-2 vertices
+        (Graph.complete(4), lambda rows, within: [0] * len(rows)),  # no edges: every degree even
+        (Graph.path(4), lambda rows, within: list(rows)),  # an induced tree with degree-2 vertices
     ],
 )
 def test_perfect_forest_postcondition_rejects_even_degrees(monkeypatch, g, start):
@@ -217,3 +291,49 @@ def test_perfect_forest_postcondition_rejects_even_degrees(monkeypatch, g, start
     monkeypatch.setattr(partitioner, "_odd_spanning_rows", start)
     with pytest.raises(RuntimeError, match="not an induced odd tree"):
         perfect_forest(g)
+
+
+def _random_connected_subset(rng: random.Random, g: Graph) -> int | None:
+    """A random connected vertex mask of even size >= 2, grown from a random vertex."""
+    start = rng.randrange(g.n)
+    comp = reachable_mask(g.rows, start, (1 << g.n) - 1)
+    most = comp.bit_count() // 2 * 2
+    if most < 2:
+        return None
+    size = rng.choice(range(2, most + 1, 2))
+    s = 1 << start
+    while s.bit_count() < size:
+        border = 0
+        for v in iter_bits(s):
+            border |= g.rows[v]
+        border &= ~s
+        s |= 1 << rng.choice(list(iter_bits(border)))
+    return s
+
+
+def test_forest_masks_on_a_vertex_mask_match_the_induced_copy():
+    # the forest of an induced subgraph, found on the host rows, equals the
+    # reference forest of the relabeled copy mapped back to host ids
+    rng = random.Random(67)
+    cases = 0
+    while cases < 600:
+        n = rng.randrange(2, 41)
+        g = random_graph(rng, n, rng.choice((0.05, 0.1, 0.3, 0.6, 0.9)))
+        s = _random_connected_subset(rng, g)
+        if s is None:
+            continue
+        sub, ids = g.induced(iter_bits(s))
+        expected = [
+            mask_of(ids[v] for e in tree for v in e)
+            for tree in perfect_forest_reference(sub).trees
+        ]
+        assert _forest_masks(g.rows, s) == expected, (g, s)
+        cases += 1
+
+
+def test_forest_masks_preconditions():
+    g = Graph.path(6)
+    with pytest.raises(ValueError, match="even vertex count"):
+        _forest_masks(g.rows, 0b111)
+    with pytest.raises(ValueError, match="connected"):
+        _forest_masks(g.rows, 0b110011)

@@ -40,7 +40,7 @@ from locinv.synthesizer import (
     verify_certificate,
 )
 
-from helpers import random_coloring, random_connected_graph, random_odd_tree
+from helpers import random_coloring, random_connected_graph, random_graph, random_odd_tree
 
 
 def petersen() -> Graph:
@@ -182,6 +182,32 @@ def test_flip_single_star_center_oracle_minimum():
     g = Graph.star(3)
     b = BicoloredGraph(g, all_plus(3))
     assert min_flip_word(b, flip(b, {0})) == (1, (1,))
+
+
+def test_vertex_gadget_takes_the_first_triangle_then_the_first_induced_path():
+    # the one single-vertex search against a pair-by-pair scan of its definition
+    rng = random.Random(79)
+    for _ in range(200):
+        n = rng.randrange(1, 14)
+        g = random_graph(rng, n, rng.choice((0.15, 0.4, 0.8)))
+        for a in range(n):
+            allowed = rng.getrandbits(n) | (1 << a)
+            inside = [x for x in range(n) if (allowed >> x) & 1]
+            triangles = [
+                (b, c) for b in inside for c in inside
+                if b < c and g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
+            ]
+            paths = [
+                (b, c) for b in inside for c in inside
+                if b != a and not g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
+            ]
+            if triangles:
+                expected = (gadget_triangle(a, *min(triangles)), "triangle")
+            elif paths:
+                expected = (gadget_p3_end(a, *min(paths)), "p3-end")
+            else:
+                expected = None
+            assert synth._vertex_gadget(g, a, allowed) == expected
 
 
 def test_flip_single_preconditions():
