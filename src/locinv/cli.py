@@ -5,6 +5,12 @@ line per edge) or graph6 lines; colorings as +/- tokens, position i being
 vertex i.  Reports are JSON: ``exact`` prints one cr-report object,
 ``survey`` prints one cr-report per line followed by a summary line.
 
+Each word ``reverse`` and ``transform`` print has been replayed once,
+inside the builder (:func:`locinv.synthesizer.verify_certificate`); a
+failed replay prints ``verification: FAILED: <reason>`` on stderr.
+``--verify`` reports the builder's verdict, and for ``transform`` it also
+checks that the certified flip set is where the two colorings differ.
+
 Exit codes: 0 success, 1 failure (bad input, verification failure, bound
 violation), 2 unsatisfiable (an isolated vertex would have to change
 color).
@@ -37,7 +43,7 @@ from .synthesizer import (
     gadget_triangle,
     star_word,
     transform_word,
-    verify_certificate,
+    verify_certificate,  # noqa: F401  module attribute wrapped by bench/tracer.py
 )
 
 __all__ = [
@@ -54,6 +60,10 @@ __all__ = [
 REPORT_SCHEMA = "cr-report/1"
 SUMMARY_SCHEMA = "survey-summary/1"
 
+# What ``--verify`` prints: every word ``color_reversal_word`` and
+# ``transform_word`` return has passed ``verify_certificate``.
+VERIFIED = "verification: ok (exact replay)"
+
 # Largest vertex count a command accepts.  Graphs and words are built in
 # memory in proportion to it, so a larger count is refused before anything
 # is allocated.
@@ -64,20 +74,25 @@ MAX_VERTICES = 1 << 16
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse an edge-list document: ``n <count>`` then one ``u v`` per line."""
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
-    lines = [(no, ln) for no, ln in lines if ln]
-    if not lines:
-        raise ValueError("empty edge-list document")
-    no, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "n" or not parts[1].isdigit():
-        raise ValueError(f"line {no}: expected header 'n <count>', got {header!r}")
-    n = int(parts[1])
-    if n > MAX_VERTICES:
-        raise ValueError(f"line {no}: vertex count {n} exceeds the limit of {MAX_VERTICES}")
-    edges = []
-    for no, ln in lines[1:]:
+    """Parse an edge-list document: ``n <count>`` then one ``u v`` per line.
+
+    One pass checks each line and sets both adjacency bits of its edge, so
+    the rows are symmetric and loop-free by construction.
+    """
+    rows = None
+    for no, ln in enumerate(text.splitlines(), 1):
+        ln = ln.strip()
+        if not ln:
+            continue
+        if rows is None:
+            parts = ln.split()
+            if len(parts) != 2 or parts[0] != "n" or not parts[1].isdigit():
+                raise ValueError(f"line {no}: expected header 'n <count>', got {ln!r}")
+            n = int(parts[1])
+            if n > MAX_VERTICES:
+                raise ValueError(f"line {no}: vertex count {n} exceeds the limit of {MAX_VERTICES}")
+            rows = [0] * n
+            continue
         toks = ln.split()
         if len(toks) != 2:
             raise ValueError(f"line {no}: expected 'u v', got {ln!r}")
@@ -89,8 +104,11 @@ def parse_edge_list(text: str) -> Graph:
             raise ValueError(f"line {no}: loop edge {u} {v}")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"line {no}: vertex out of range in {ln!r}")
-        edges.append((u, v))
-    return Graph.from_edges(n, edges)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    if rows is None:
+        raise ValueError("empty edge-list document")
+    return Graph._trusted(n, tuple(rows))
 
 
 def emit_edge_list(g: Graph) -> str:
@@ -165,23 +183,13 @@ def _print_certificate(cw: CertifiedWord, labels: list[str] | None, reduce_flag:
     print(f"bound: {cw.bound}")
 
 
-def _verify_and_report(g: Graph, cw: CertifiedWord) -> int:
-    try:
-        verify_certificate(g, cw)
-    except VerificationError as exc:
-        print(f"verification: FAILED: {exc}", file=sys.stderr)
-        return 1
-    print("verification: ok (exact replay)")
-    return 0
-
-
 def _cmd_reverse(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     labels = _parse_labels(args.labels, g.n)
     cw = color_reversal_word(g)
     _print_certificate(cw, labels, args.reduce)
     if args.verify:
-        return _verify_and_report(g, cw)
+        print(VERIFIED)
     return 0
 
 
@@ -194,15 +202,13 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     _print_certificate(cw, labels, args.reduce)
     print(f"strategy: {cw.construction.removeprefix('transform/')}")
     if args.verify:
-        rc = _verify_and_report(g, cw)
-        if rc != 0:
-            return rc
-        # the replay above proved the word flips exactly target_flip, so the
-        # target is reached iff that set is where the two colorings differ
+        # the builder's replay proved the word flips exactly target_flip, so
+        # the target is reached iff that set is where the two colorings differ
         changed = mask_of(v for v in range(g.n) if from_colors[v] != to_colors[v])
         if mask_of(cw.target_flip) != changed:
             print("verification: FAILED: replay does not reach the target coloring", file=sys.stderr)
             return 1
+        print(VERIFIED)
     return 0
 
 
@@ -396,6 +402,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UnsatisfiableError as exc:
         print(f"unsatisfiable: {exc}", file=sys.stderr)
         return 2
+    except VerificationError as exc:
+        print(f"verification: FAILED: {exc}", file=sys.stderr)
+        return 1
     except BoundExceededError as exc:
         print(f"bound violation: {exc}", file=sys.stderr)
         if exc.witness:

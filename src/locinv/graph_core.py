@@ -48,7 +48,8 @@ def upper_rows(n: int, bits: int) -> list[int]:
 
     Bit ``j*(j-1)/2 + i`` holds the adjacency of pair ``(i, j)`` for
     ``i < j`` (column-major pair order, as in the graph6 format).  The rows
-    are not validated; :meth:`Graph.from_upper_bits` wraps them in a graph.
+    are symmetric and loop-free by construction; :meth:`Graph.from_upper_bits`
+    wraps them in a graph.
     """
     rows = [0] * n
     k = 0
@@ -61,17 +62,36 @@ def upper_rows(n: int, bits: int) -> list[int]:
     return rows
 
 
+def _check_count(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"expected {n} adjacency rows, got 0")
+
+
 @dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected labeled graph on vertices ``0..n-1``.
 
     ``rows[u]`` is the bitmask of neighbors of ``u``.  The relation is kept
-    symmetric and irreflexive; violations raise :class:`ValueError` at
-    construction time.
+    symmetric and irreflexive; ``Graph(n, rows)`` raises :class:`ValueError`
+    on a violation.  The named constructors and the local-complement
+    operations build rows that hold this by construction and skip the check.
     """
 
     n: int
     rows: tuple[int, ...]
+
+    @classmethod
+    def _trusted(cls, n: int, rows: tuple[int, ...]) -> "Graph":
+        """Wrap ``rows`` without validation.
+
+        Only for rows that are symmetric, loop-free and inside ``0..n-1`` by
+        construction: rows built edge by edge after each edge was checked,
+        or the result of local complementations of a valid graph.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "rows", rows)
+        return g
 
     def __post_init__(self) -> None:
         if self.n < 0 or len(self.rows) != self.n:
@@ -98,12 +118,14 @@ class Graph:
                 raise ValueError(f"loop edge ({u}, {v})")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return Graph(n, tuple(rows))
+        _check_count(n)
+        return Graph._trusted(n, tuple(rows))
 
     @staticmethod
     def from_upper_bits(n: int, bits: int) -> "Graph":
         """Build a graph from packed upper-triangle bits (see :func:`upper_rows`)."""
-        return Graph(n, tuple(upper_rows(n, bits)))
+        _check_count(n)
+        return Graph._trusted(n, tuple(upper_rows(n, bits)))
 
     @staticmethod
     def path(t: int) -> "Graph":
@@ -274,7 +296,7 @@ def _lc_rows(rows: Sequence[int], a: int) -> tuple[int, ...]:
 def local_complement(g: Graph, a: int) -> Graph:
     """Toggle adjacency between every pair of distinct neighbors of ``a``."""
     g._check_vertex(a)
-    return Graph(g.n, _lc_rows(g.rows, a))
+    return Graph._trusted(g.n, _lc_rows(g.rows, a))
 
 
 def replay(rows: Sequence[int], w: Iterable[int]) -> tuple[int, tuple[int, ...]]:
@@ -304,7 +326,7 @@ def replay(rows: Sequence[int], w: Iterable[int]) -> tuple[int, tuple[int, ...]]
 
 def apply_word_graph(g: Graph, w: Sequence[int]) -> Graph:
     """Fold :func:`local_complement` over ``w`` left to right."""
-    return Graph(g.n, replay(g.rows, w)[1])
+    return Graph._trusted(g.n, replay(g.rows, w)[1])
 
 
 def _negate(coloring: Coloring, mask: int) -> Coloring:
@@ -319,13 +341,13 @@ def local_inversion(b: BicoloredGraph, a: int) -> BicoloredGraph:
     coloring = tuple(
         -c if (nb >> v) & 1 else c for v, c in enumerate(b.coloring)
     )
-    return BicoloredGraph(Graph(g.n, _lc_rows(g.rows, a)), coloring)
+    return BicoloredGraph(Graph._trusted(g.n, _lc_rows(g.rows, a)), coloring)
 
 
 def apply_word(b: BicoloredGraph, w: Sequence[int]) -> BicoloredGraph:
     """Fold :func:`local_inversion` over ``w`` left to right."""
     flipped, rows = replay(b.graph.rows, w)
-    return BicoloredGraph(Graph(b.graph.n, rows), _negate(b.coloring, flipped))
+    return BicoloredGraph(Graph._trusted(b.graph.n, rows), _negate(b.coloring, flipped))
 
 
 def flip(b: BicoloredGraph, s: Iterable[int]) -> BicoloredGraph:

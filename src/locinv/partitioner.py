@@ -118,11 +118,6 @@ class PerfectForest:
 
     trees: tuple[tuple[Edge, ...], ...]
 
-    def vertex_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(
-            frozenset(v for e in tree for v in e) for tree in self.trees
-        )
-
 
 def _p3_rows(rows: Sequence[int], tree: int, root: int) -> EdgePartition:
     """P3 partition of the odd tree on the vertex mask ``tree``, rooted at ``root``.

@@ -1,12 +1,20 @@
 """Tests for file formats and the command-line surface."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import locinv
 import locinv.cli as cli
+import locinv.graph_core as graph_core
 import locinv.oracle as oracle
+import locinv.synthesizer as synth
 from locinv.errors import Graph6Error
 from locinv.graph_core import Graph
 from locinv.cli import (
@@ -114,6 +122,68 @@ def test_edge_list_errors():
         parse_edge_list("n 3\n0 1 2\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("\n  \nn 4\n0 1\n\n2 2\n0 9\nx y\n1 2 3\n", "line 6: loop edge 2 2"),
+        ("n 3\r\n0 1\r\n1 2 0\r\n3 0\r\n1 1\r\n", "line 3: expected 'u v', got '1 2 0'"),
+        ("n 5\n\t4 0\n 0 5 \n-1 2\n2 2\n", "line 3: vertex out of range in '0 5'"),
+        ("\n\nn 2\n0 1\n1 0\na 1\n0 0\n", "line 6: expected integers, got 'a 1'"),
+    ],
+)
+def test_edge_list_reports_the_first_bad_line(text, message):
+    # several bad lines: the first one, counted with blank lines, is named
+    with pytest.raises(ValueError) as exc:
+        parse_edge_list(text)
+    assert str(exc.value) == message
+
+
+def _edge_list_text(n, edges, rng):
+    """An edge-list document for ``edges``, with pairs reversed, repeated and spaced at random."""
+    lines = [f"n {n}"]
+    for u, v in edges:
+        lines.append(f"{u} {v}" if rng.random() < 0.5 else f" {v}\t{u} ")
+        if rng.random() < 0.2:
+            lines.append(rng.choice(["", "   ", f"{u} {v}"]))
+    return "\n".join(lines) + "\n"
+
+
+def _validated(n, edges):
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(n, tuple(rows))
+
+
+def test_edge_list_rows_pass_public_validation():
+    rng = random.Random(17)
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(0, 40), rng.random())
+        edges = g.edges()
+        rng.shuffle(edges)
+        parsed = parse_edge_list(_edge_list_text(g.n, edges, rng))
+        assert Graph(parsed.n, parsed.rows) == parsed == _validated(g.n, edges)
+
+
+@st.composite
+def edge_lists(draw, max_n=12):
+    n = draw(st.integers(0, max_n))
+    if n < 2:
+        return n, []
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=30))
+    return n, [(u, v) for u, v in pairs if u != v]
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_lists(), st.randoms(use_true_random=False))
+def test_edge_list_rows_pass_public_validation_fuzzed(case, rng):
+    n, edges = case
+    parsed = parse_edge_list(_edge_list_text(n, edges, rng))
+    assert Graph(parsed.n, parsed.rows) == parsed == _validated(n, edges)
+
+
 def test_edge_list_vertex_count_limit():
     assert parse_edge_list(f"n {MAX_VERTICES}\n0 1\n").n == MAX_VERTICES
     with pytest.raises(ValueError, match="exceeds the limit"):
@@ -128,6 +198,7 @@ def _must_not_build(*args):
 def test_reverse_refuses_huge_vertex_count(tmp_path, capsys, monkeypatch, count):
     # the guard fails the test if the count got as far as an allocation
     monkeypatch.setattr(Graph, "from_edges", staticmethod(_must_not_build))
+    monkeypatch.setattr(Graph, "_trusted", classmethod(_must_not_build))
     path = tmp_path / "huge.txt"
     path.write_text(f"n {count}\n0 1\n")
     assert main(["reverse", "-i", str(path)]) == 1
@@ -225,6 +296,101 @@ def test_transform_verify_rejects_a_word_for_another_target(p3_file, capsys, mon
     assert "verification: FAILED: replay does not reach the target coloring" in err
     # the same word is accepted when it is the one asked for
     assert main(["transform", "-i", p3_file, "--from=+++", "--to=---", "--verify"]) == 0
+
+
+# -- the builder's certificate check on the command line ----------------------------
+
+P4 = "n 4\n0 1\n1 2\n2 3\n"
+P4_FAILURES = {
+    "reverse": "verification: FAILED: full-reversal: word flips [0, 2, 3], target is [0, 1, 2, 3]\n",
+    "transform": "verification: FAILED: transform/fix-V1: word flips [0, 1], target is [0]\n",
+}
+
+
+def _p4_argv(command, path):
+    argv = [command, "-i", str(path)]
+    return argv + ["--from=++++", "--to=-+++"] if command == "transform" else argv
+
+
+def _drop_a_letter(monkeypatch):
+    """Make both builders emit words one letter short of a valid certificate."""
+    reverse, transform = synth._reverse_component_word, synth._transform_component
+
+    def transform_short(g, comp, diff):
+        word, tag = transform(g, comp, diff)
+        return word[:-1], tag
+
+    monkeypatch.setattr(synth, "_reverse_component_word", lambda g, comp: reverse(g, comp)[:-1])
+    monkeypatch.setattr(synth, "_transform_component", transform_short)
+
+
+@pytest.mark.parametrize("verify", [False, True])
+@pytest.mark.parametrize("command", ["reverse", "transform"])
+def test_a_false_certificate_is_reported_not_raised(tmp_path, capsys, monkeypatch, command, verify):
+    path = tmp_path / "p4.txt"
+    path.write_text(P4)
+    _drop_a_letter(monkeypatch)
+    assert main(_p4_argv(command, path) + ["--verify"] * verify) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == P4_FAILURES[command]
+
+
+_FAULTY_BUILDERS_UNDER_O = """
+import sys
+
+import locinv.synthesizer as synth
+from locinv.cli import main
+
+reverse, transform = synth._reverse_component_word, synth._transform_component
+synth._reverse_component_word = lambda g, comp: reverse(g, comp)[:-1]
+synth._transform_component = lambda g, comp, diff: (
+    transform(g, comp, diff)[0][:-1], transform(g, comp, diff)[1]
+)
+path = sys.argv[1]
+codes = [__debug__]
+codes.append(main(["reverse", "-i", path, "--verify"]))
+codes.append(main(["transform", "-i", path, "--from=++++", "--to=-+++", "--verify"]))
+print(codes)
+"""
+
+
+def test_a_false_certificate_is_reported_under_optimize_flag(tmp_path):
+    path = tmp_path / "p4.txt"
+    path.write_text(P4)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(locinv.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _FAULTY_BUILDERS_UNDER_O, str(path)],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout == "[False, 1, 1]\n"
+    assert out.stderr == P4_FAILURES["reverse"] + P4_FAILURES["transform"]
+
+
+@pytest.mark.parametrize("verify", [False, True])
+@pytest.mark.parametrize("command", ["reverse", "transform"])
+def test_one_replay_per_word(tmp_path, capsys, monkeypatch, command, verify):
+    # P4 plus P3: one replay for the whole word, not one per component, and
+    # --verify reports that replay instead of running a second one
+    path = tmp_path / "p4p3.txt"
+    path.write_text("n 7\n0 1\n1 2\n2 3\n4 5\n5 6\n")
+    argv = [command, "-i", str(path)] + ["--verify"] * verify
+    if command == "transform":
+        argv += ["--from=+++++++", "--to=-+++-+-"]
+    replays = []
+    for module in (synth, graph_core):
+        def counted(rows, w, real=module.replay):
+            replays.append(len(w))
+            return real(rows, w)
+
+        monkeypatch.setattr(module, "replay", counted)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert ("verification: ok (exact replay)" in out) == verify
+    word = out.splitlines()[0].removeprefix("word: ").split(",")
+    assert replays == [len(word)]
 
 
 def test_transform_unsatisfiable(tmp_path, capsys):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import locinv.synthesizer as synth
 from locinv.cli import emit_graph6, main
 from locinv.graph_core import Graph
 
@@ -44,6 +45,17 @@ def edge_list_docs(draw, max_n=8):
     if draw(st.integers(0, 3)) == 0:
         junk = draw(JUNK_LINES | JUNK_TEXT)
         lines.insert(draw(st.integers(0, len(lines))), junk)
+    return "\n".join(lines) + "\n", n
+
+
+@st.composite
+def connected_docs(draw, max_n=8):
+    """(document, n): a connected graph on 2..max_n vertices, a random tree plus extra edges."""
+    n = draw(st.integers(2, max_n))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    vertex = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=8))
+    lines = [f"n {n}"] + [f"{u} {v}" for u, v in edges]
     return "\n".join(lines) + "\n", n
 
 
@@ -78,6 +90,7 @@ GADGET_ARGS = st.lists(st.text(alphabet="0123456789-x", min_size=1, max_size=2),
 
 
 def run_main(argv):
+    """Exit code and standard error of one ``main`` call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -85,7 +98,7 @@ def run_main(argv):
         except SystemExit as exc:  # argparse usage errors and --help
             code = exc.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())
-    return code
+    return code, err.getvalue()
 
 
 def color_option(name, token, equals):
@@ -108,6 +121,38 @@ def test_reverse_never_raises(graph_path, case, data, verify, reduce):
     if labels is not None:
         argv += ["--labels", labels]
     run_main(argv)
+
+
+@FUZZ
+@given(
+    case=connected_docs() | edge_list_docs(),
+    data=st.data(),
+    transform=st.booleans(),
+    verify=st.booleans(),
+)
+def test_faulty_builder_is_reported_not_raised(graph_path, case, data, transform, verify):
+    # every word leaves its builder one letter short: a non-empty word is then
+    # a false certificate, which must end in the FAILED line and exit code 1
+    doc, n = case
+    graph_path.write_text(doc, encoding="utf-8")
+    argv = ["reverse", "-i", str(graph_path)]
+    if transform:
+        argv[0] = "transform"
+        argv += color_option("--from", data.draw(colors_for(n)), True)
+        argv += color_option("--to", data.draw(colors_for(n)), True)
+    reverse, transform_component = synth._reverse_component_word, synth._transform_component
+
+    def transform_short(g, comp, diff):
+        word, tag = transform_component(g, comp, diff)
+        return word[:-1], tag
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synth, "_reverse_component_word", lambda g, comp: reverse(g, comp)[:-1])
+        mp.setattr(synth, "_transform_component", transform_short)
+        code, err = run_main(argv + ["--verify"] * verify)
+    if "verification" in err:
+        assert code == 1
+        assert err.startswith("verification: FAILED: ")
 
 
 @FUZZ

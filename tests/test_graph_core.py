@@ -57,6 +57,24 @@ def test_graph_rejects_loops_and_asymmetry():
         Graph.from_edges(3, [(1, 1)])
 
 
+def test_public_constructor_still_validates_everything():
+    cases = [
+        (2, (0b01, 0b01), "loop at vertex 0"),
+        (2, (0b10, 0b00), r"adjacency not symmetric at \(0, 1\)"),
+        (3, (0b110, 0b001, 0b000), r"adjacency not symmetric at \(0, 2\)"),
+        (2, (0b110, 0b001), r"row 0 mentions vertices outside 0\.\.1"),
+        (2, (0b10, -1), r"row 1 mentions vertices outside 0\.\.1"),
+        (3, (0, 0), "expected 3 adjacency rows, got 2"),
+        (-1, (), "expected -1 adjacency rows, got 0"),
+    ]
+    for n, rows, message in cases:
+        with pytest.raises(ValueError, match=message):
+            Graph(n, rows)
+    for build in (lambda: Graph.from_edges(-1, []), lambda: Graph.from_upper_bits(-2, 0)):
+        with pytest.raises(ValueError, match="expected -[12] adjacency rows, got 0"):
+            build()
+
+
 def test_coloring_validation():
     g = Graph.complete(2)
     with pytest.raises(ValueError):
@@ -377,3 +395,52 @@ def test_components_and_connectivity():
     assert is_connected(Graph.path(5))
     assert is_connected(Graph(0, ()))
     assert is_connected(Graph(1, (0,)))
+
+
+# -- rows built without validation ----------------------------------------------
+
+
+def assert_validates(g):
+    """The public constructor accepts ``g``'s unvalidated rows unchanged."""
+    checked = Graph(g.n, g.rows)
+    assert checked == g
+    assert checked.rows == g.rows
+
+
+def test_from_upper_bits_rows_validate_for_every_mask():
+    for n in range(6):
+        for bits in range(1 << (n * (n - 1) // 2)):
+            assert_validates(Graph.from_upper_bits(n, bits))
+
+
+def test_from_edges_rows_validate():
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randint(0, 30)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]
+        g = Graph.from_edges(n, [(u, v) for u, v in edges if u != v])
+        assert_validates(g)
+
+
+def test_replayed_rows_validate():
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randint(1, 24)
+        g = random_graph(rng, n, rng.random())
+        b = BicoloredGraph(g, random_coloring(rng, n))
+        w = [rng.randrange(n) for _ in range(rng.randint(0, 3 * n))]
+        assert_validates(apply_word(b, w).graph)
+        assert_validates(apply_word_graph(g, w))
+        a = rng.randrange(n)
+        assert_validates(local_complement(g, a))
+        assert_validates(local_inversion(b, a).graph)
+
+
+@given(colored_graphs(min_n=1), st.data())
+def test_replayed_rows_validate_fuzzed(b, data):
+    w = data.draw(words(b.graph.n))
+    a = data.draw(st.integers(0, b.graph.n - 1))
+    assert_validates(apply_word(b, w).graph)
+    assert_validates(apply_word_graph(b.graph, w))
+    assert_validates(local_complement(b.graph, a))
+    assert_validates(local_inversion(b, a).graph)
