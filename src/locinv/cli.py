@@ -86,7 +86,7 @@ def parse_edge_list(text: str) -> Graph:
             continue
         if rows is None:
             parts = ln.split()
-            if len(parts) != 2 or parts[0] != "n" or not parts[1].isdigit():
+            if len(parts) != 2 or parts[0] != "n" or not (parts[1].isascii() and parts[1].isdigit()):
                 raise ValueError(f"line {no}: expected header 'n <count>', got {ln!r}")
             n = int(parts[1])
             if n > MAX_VERTICES:

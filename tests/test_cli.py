@@ -274,6 +274,18 @@ def test_reverse_malformed_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", ["²", "١٢"])  # superscript two; Arabic-Indic 12
+def test_reverse_rejects_a_non_ascii_vertex_count(tmp_path, capsys, count):
+    # str.isdigit accepts both, but int() rejects the first and reads the
+    # second as 12; the header must hold ASCII digits only
+    path = tmp_path / "header.txt"
+    path.write_text(f"n {count}\n0 1\n", encoding="utf-8")
+    assert main(["reverse", "-i", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line 1: expected header 'n <count>', got 'n {count}'\n"
+
+
 def test_transform_command(p3_file, capsys):
     # all-minus targets need the = form so argparse does not read them as flags
     rc = main(["transform", "-i", p3_file, "--from=+++", "--to=---", "--verify"])
@@ -447,6 +459,16 @@ def test_survey_is_byte_stable(capsys):
     assert main(["survey", "--max-n", "3"]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_survey_output_is_pinned(capsys):
+    # every exact cr, witness and synthesized length up to 5 vertices stays
+    # byte-identical, whatever search finds them
+    pinned = os.path.join(os.path.dirname(__file__), "data", "survey_max5.jsonl")
+    with open(pinned, encoding="utf-8") as fh:
+        expected = fh.read()
+    assert main(["survey", "--max-n", "5"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_survey_jobs_flag(capsys):

@@ -128,6 +128,27 @@ def test_min_flip_word_matches_tuple_search_on_every_small_connected_graph():
             assert min_flip_word(b, target) == min_flip_word_reference(b, target)
 
 
+def test_min_flip_word_matches_tuple_search_on_partial_recolorings():
+    # same-graph targets other than the all-flip: the color difference
+    # between start and target has some bits clear
+    rng = random.Random(41)
+    for n in range(1, 6):
+        for g in connected_graphs(n):
+            for _ in range(4):
+                b = BicoloredGraph(g, random_coloring(rng, n))
+                mask = rng.randrange((1 << n) - 1)
+                target = flip(b, [v for v in range(n) if mask >> v & 1])
+                assert min_flip_word(b, target) == min_flip_word_reference(b, target)
+
+
+@pytest.mark.slow
+def test_min_flip_word_matches_tuple_search_on_every_six_vertex_graph():
+    for g in connected_graphs(6):
+        b = BicoloredGraph(g, all_plus(6))
+        target = flip(b, range(6))
+        assert min_flip_word(b, target) == min_flip_word_reference(b, target)
+
+
 def test_min_flip_word_matches_tuple_search_on_p7_and_c6():
     for g in (Graph.path(7), _cycle(6)):
         b = BicoloredGraph(g, all_plus(g.n))
@@ -337,6 +358,13 @@ def test_survey_extends_to_six_vertices():
         g = parse_graph6(rep.graph_id)
         b = BicoloredGraph(g, all_plus(g.n))
         assert apply_word(b, rep.witness) == flip(b, range(g.n))
+
+
+@pytest.mark.slow
+def test_survey_is_the_same_across_workers():
+    # witnesses are rebuilt from the search tables in each worker; they must
+    # not depend on the process or on hash state
+    assert survey(6, jobs=2) == survey(6, jobs=1)
 
 
 def test_transform_words_never_beat_the_oracle():
