@@ -21,7 +21,6 @@ from .graph_core import (
     Word,
     all_plus,
     apply_word,
-    apply_word_graph,
     components,
     flip,
     is_connected,
@@ -34,14 +33,12 @@ from .partitioner import (
     EdgePartition,
     PerfectForest,
     RootedTree,
-    odd_degree_spanning_subgraph,
     p3_partition,
     perfect_forest,
 )
 from .synthesizer import (
     CertifiedWord,
     base_case_word,
-    certificate_holds,
     color_reversal_word,
     complete_word,
     flip_single,
@@ -65,7 +62,6 @@ from .oracle import (
     pack_state,
     summarize,
     survey,
-    unpack_state,
 )
 
 __version__ = "0.1.0"

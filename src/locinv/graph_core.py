@@ -11,11 +11,14 @@ Every move is an involution, so deleting adjacent equal letters never
 changes the action of a word; :func:`reduce_word` computes the unique
 freely reduced form.
 
-Adjacency is stored as one bitmask per vertex, which makes a local
-complementation cost O(deg) integer operations.  :func:`replay` is the one
-word-replay loop; it also yields the flipped set, which does not depend on
-the starting coloring.  All values are immutable; operations return new
-values.
+Adjacency is stored as one bitmask per vertex (``rows[v]`` has bit ``u``
+set when ``uv`` is an edge), and a vertex set is an ``int`` mask in the
+same encoding.  A local complementation costs O(deg) integer operations.
+:func:`replay` is the one word-replay loop, behind every move and word
+application; it also yields the flipped set, which does not depend on the
+starting coloring.  :func:`component_masks` is the one loop that splits a
+vertex mask into connected components.  All values are immutable;
+operations return new values.
 """
 
 from __future__ import annotations
@@ -177,25 +180,6 @@ class Graph:
             shift += j
         return bits
 
-    def induced(self, s: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
-        """Induced subgraph on ``s``, relabeled to ``0..|s|-1``.
-
-        Returns the subgraph together with the sorted original ids, where
-        the new vertex ``i`` corresponds to ``ids[i]``.
-        """
-        ids = sorted(set(s))
-        for v in ids:
-            self._check_vertex(v)
-        index = {v: i for i, v in enumerate(ids)}
-        rows = []
-        for v in ids:
-            row = 0
-            for w in iter_bits(self.rows[v]):
-                if w in index:
-                    row |= 1 << index[w]
-            rows.append(row)
-        return Graph(len(ids), tuple(rows)), tuple(ids)
-
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
@@ -227,30 +211,22 @@ def is_connected(g: Graph) -> bool:
     return reachable_mask(g.rows, 0, full) == full
 
 
-def induced_connected(g: Graph, s: Iterable[int]) -> bool:
-    """Whether the subgraph of ``g`` induced by ``s`` is connected."""
-    sm = mask_of(s)
-    if sm == 0:
-        return True
-    start = (sm & -sm).bit_length() - 1
-    return reachable_mask(g.rows, start, sm) == sm
+def component_masks(rows: Sequence[int], within: int) -> list[int]:
+    """Connected components of the subgraph of ``rows`` induced by the mask ``within``.
+
+    One vertex mask per component, ordered by smallest vertex.
+    """
+    out = []
+    while within:
+        comp = reachable_mask(rows, (within & -within).bit_length() - 1, within)
+        out.append(comp)
+        within &= ~comp
+    return out
 
 
 def components(g: Graph) -> list[frozenset[int]]:
     """Connected components, sorted by smallest member."""
-    return components_within(g, range(g.n))
-
-
-def components_within(g: Graph, s: Iterable[int]) -> list[frozenset[int]]:
-    """Connected components of the subgraph induced by ``s``."""
-    rest = mask_of(s)
-    out = []
-    while rest:
-        start = (rest & -rest).bit_length() - 1
-        comp = reachable_mask(g.rows, start, rest)
-        out.append(frozenset(iter_bits(comp)))
-        rest &= ~comp
-    return out
+    return [frozenset(iter_bits(c)) for c in component_masks(g.rows, (1 << g.n) - 1)]
 
 
 # -- coloring and bicolored graphs ------------------------------------
@@ -280,25 +256,6 @@ class BicoloredGraph:
 # -- the calculus ------------------------------------------------------
 
 
-def _lc_rows(rows: Sequence[int], a: int) -> tuple[int, ...]:
-    """Adjacency rows after local complementation at ``a``."""
-    nb = rows[a]
-    out = list(rows)
-    m = nb
-    while m:
-        low = m & -m
-        u = low.bit_length() - 1
-        out[u] ^= nb ^ low
-        m ^= low
-    return tuple(out)
-
-
-def local_complement(g: Graph, a: int) -> Graph:
-    """Toggle adjacency between every pair of distinct neighbors of ``a``."""
-    g._check_vertex(a)
-    return Graph._trusted(g.n, _lc_rows(g.rows, a))
-
-
 def replay(rows: Sequence[int], w: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     """Replay ``w`` on adjacency ``rows``; return (flip mask, final rows).
 
@@ -324,30 +281,26 @@ def replay(rows: Sequence[int], w: Iterable[int]) -> tuple[int, tuple[int, ...]]
     return flipped, tuple(out)
 
 
-def apply_word_graph(g: Graph, w: Sequence[int]) -> Graph:
-    """Fold :func:`local_complement` over ``w`` left to right."""
-    return Graph._trusted(g.n, replay(g.rows, w)[1])
-
-
 def _negate(coloring: Coloring, mask: int) -> Coloring:
     return tuple(-c if (mask >> v) & 1 else c for v, c in enumerate(coloring))
 
 
-def local_inversion(b: BicoloredGraph, a: int) -> BicoloredGraph:
-    """Local complement at ``a`` plus color negation on all neighbors of ``a``."""
-    g = b.graph
-    g._check_vertex(a)
-    nb = g.rows[a]
-    coloring = tuple(
-        -c if (nb >> v) & 1 else c for v, c in enumerate(b.coloring)
-    )
-    return BicoloredGraph(Graph._trusted(g.n, _lc_rows(g.rows, a)), coloring)
-
-
 def apply_word(b: BicoloredGraph, w: Sequence[int]) -> BicoloredGraph:
-    """Fold :func:`local_inversion` over ``w`` left to right."""
+    """Apply the local inversions of ``w`` left to right: one :func:`replay`."""
     flipped, rows = replay(b.graph.rows, w)
     return BicoloredGraph(Graph._trusted(b.graph.n, rows), _negate(b.coloring, flipped))
+
+
+def local_complement(g: Graph, a: int) -> Graph:
+    """Toggle adjacency between every pair of distinct neighbors of ``a``."""
+    g._check_vertex(a)
+    return Graph._trusted(g.n, replay(g.rows, (a,))[1])
+
+
+def local_inversion(b: BicoloredGraph, a: int) -> BicoloredGraph:
+    """Local complement at ``a`` plus color negation on all neighbors of ``a``."""
+    b.graph._check_vertex(a)
+    return apply_word(b, (a,))
 
 
 def flip(b: BicoloredGraph, s: Iterable[int]) -> BicoloredGraph:

@@ -68,15 +68,6 @@ def pack_state(b: BicoloredGraph) -> int:
     return key
 
 
-def unpack_state(key: int, n: int) -> BicoloredGraph:
-    """Inverse of :func:`pack_state` for a fixed vertex count."""
-    full = (1 << n) - 1
-    g = Graph(n, tuple((key >> (n * v)) & full for v in range(n)))
-    cmask = key >> (n * n)
-    coloring = tuple(-1 if (cmask >> v) & 1 else 1 for v in range(n))
-    return BicoloredGraph(g, coloring)
-
-
 @cache
 def _move_table(n: int) -> tuple[int, ...]:
     """Entry S: the XOR a local inversion with neighborhood S applies to a state.

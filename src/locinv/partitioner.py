@@ -2,8 +2,8 @@
 
 Both constructions work on neighbour bitmask rows of a host graph
 (``rows[v]`` as in :attr:`locinv.graph_core.Graph.rows`) restricted to a
-vertex mask, so a piece of a larger graph is decomposed in place, with no
-relabelled copy:
+vertex set given as an ``int`` mask, so a piece of a larger graph is
+decomposed in place, with no relabelled copy:
 
 * :func:`_p3_rows` splits the edges of a rooted odd tree (every vertex of
   odd degree) into length-2 paths plus a single edge at the root, with the
@@ -16,7 +16,8 @@ relabelled copy:
   induced subgraph whose trees are induced subgraphs and odd trees, one
   vertex mask per tree.  It starts from an odd-degree spanning subforest
   of a BFS tree, which is acyclic, so no cycle needs removing, and then
-  resolves chords one component at a time from a worklist; each swap
+  resolves chords one component at a time from a worklist, splitting
+  with :func:`locinv.graph_core.component_masks`; each swap
   preserves every degree parity and strictly shrinks the edge set, so the
   loop terminates with induced odd trees.  :func:`perfect_forest` is its
   edge-tuple form for a whole graph.
@@ -31,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph_core import Graph, iter_bits, mask_of, reachable_mask
+from .graph_core import Graph, component_masks, iter_bits, mask_of
 
 Edge = tuple[int, int]
 
@@ -82,19 +83,6 @@ class RootedTree:
     def is_odd_tree(self) -> bool:
         adj = self.adjacency()
         return all(len(adj[v]) % 2 == 1 for v in self.vertices)
-
-    def depths(self) -> dict[int, int]:
-        """Distance of every vertex from the root."""
-        adj = self.adjacency()
-        depth = {self.root: 0}
-        queue = deque([self.root])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in depth:
-                    depth[y] = depth[x] + 1
-                    queue.append(y)
-        return depth
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,16 +206,6 @@ def _odd_spanning_rows(rows: Sequence[int], within: int) -> list[int]:
     return f
 
 
-def odd_degree_spanning_subgraph(g: Graph) -> frozenset[Edge]:
-    """Spanning edge set of a connected even-order graph with all degrees odd.
-
-    The edges of :func:`_odd_spanning_rows`: a subforest of the BFS tree
-    rooted at vertex 0.
-    """
-    f = _odd_spanning_rows(g.rows, (1 << g.n) - 1)
-    return frozenset((u, v) for u in range(g.n) for v in iter_bits(f[u] & ~((2 << u) - 1)))
-
-
 def _swap_chord(f: list[int], u: int, v: int) -> None:
     """Replace the forest path from ``u`` to ``v`` by the chord ``uv``, in place."""
     layers = [1 << u]
@@ -257,7 +235,8 @@ def _forest_masks(rows: Sequence[int], within: int) -> list[int]:
     The subgraph must be connected with an even vertex count.  The forest
     is a list of rows, one neighbour bitmask per vertex, and starts as
     :func:`_odd_spanning_rows`, which is acyclic with every degree odd.  A
-    worklist holds vertex sets to split into forest components.  A
+    worklist holds vertex masks, each split into forest components by
+    :func:`locinv.graph_core.component_masks`.  A
     component with a chord (a graph edge between two of its vertices that
     is not a forest edge) takes its lexicographically first chord in place
     of the tree path between the chord's ends; that keeps every degree
@@ -276,10 +255,7 @@ def _forest_masks(rows: Sequence[int], within: int) -> list[int]:
     work = [within]
     done: list[int] = []
     while work:
-        rest = work.pop()
-        while rest:
-            comp = reachable_mask(f, (rest & -rest).bit_length() - 1, rest)
-            rest &= ~comp
+        for comp in component_masks(f, work.pop()):
             for u in iter_bits(comp):
                 chords = rows[u] & comp & ~f[u] & ~((2 << u) - 1)
                 if chords:

@@ -10,7 +10,7 @@ import random
 from collections import deque
 from itertools import product
 
-from locinv.graph_core import BicoloredGraph, Graph, _lc_rows, iter_bits
+from locinv.graph_core import BicoloredGraph, Graph, iter_bits
 from locinv.partitioner import EdgePartition, PerfectForest, RootedTree
 
 
@@ -77,6 +77,59 @@ def local_complement_reference(g: Graph, a: int) -> Graph:
     return Graph.from_edges(g.n, edges)
 
 
+def complement_rows_reference(rows: tuple[int, ...], a: int) -> tuple[int, ...]:
+    """Rows after local complementation at ``a``, toggling one neighbour pair at a time."""
+    nb = [u for u in range(len(rows)) if (rows[a] >> u) & 1]
+    out = list(rows)
+    for i, u in enumerate(nb):
+        for v in nb[i + 1 :]:
+            out[u] ^= 1 << v
+            out[v] ^= 1 << u
+    return tuple(out)
+
+
+def induced_subgraph(g: Graph, s) -> tuple[Graph, tuple[int, ...]]:
+    """Subgraph of ``g`` induced by ``s``, relabelled to ``0..|s|-1``.
+
+    Returns the subgraph and the sorted original ids: new vertex ``i`` is
+    ``ids[i]``.
+    """
+    ids = tuple(sorted(set(s)))
+    edges = [
+        (i, j)
+        for i in range(len(ids))
+        for j in range(i + 1, len(ids))
+        if g.has_edge(ids[i], ids[j])
+    ]
+    return Graph.from_edges(len(ids), edges), ids
+
+
+def tree_depths(t: RootedTree) -> dict[int, int]:
+    """Distance of every vertex of ``t`` from its root."""
+    adj = t.adjacency()
+    depth = {t.root: 0}
+    queue = deque([t.root])
+    while queue:
+        x = queue.popleft()
+        for y in adj[x]:
+            if y not in depth:
+                depth[y] = depth[x] + 1
+                queue.append(y)
+    return depth
+
+
+def unpack_state(key: int, n: int) -> BicoloredGraph:
+    """Bicolored graph of a packed oracle state, read off its bit layout.
+
+    Row v of the adjacency matrix is at bits ``[n*v, n*v + n)``; bit
+    ``n*n + v`` set means vertex v is colored -1.
+    """
+    full = (1 << n) - 1
+    g = Graph(n, tuple((key >> (n * v)) & full for v in range(n)))
+    cmask = key >> (n * n)
+    return BicoloredGraph(g, tuple(-1 if (cmask >> v) & 1 else 1 for v in range(n)))
+
+
 def min_flip_word_reference(b: BicoloredGraph, target: BicoloredGraph):
     """Tuple-state breadth-first search, the oracle before packed states.
 
@@ -101,7 +154,7 @@ def min_flip_word_reference(b: BicoloredGraph, target: BicoloredGraph):
         for state in frontier:
             rows, colors = state
             for a in range(n):
-                child = (_lc_rows(rows, a), colors ^ rows[a])
+                child = (complement_rows_reference(rows, a), colors ^ rows[a])
                 if child in parent:
                     continue
                 parent[child] = (state, a)
@@ -223,7 +276,7 @@ def p3_partition_reference(t: RootedTree) -> EdgePartition:
     """
     n = len(t.vertices)
     assert n >= 2 and n % 2 == 0 and t.is_odd_tree(), "reference needs an even odd tree"
-    depth = t.depths()
+    depth = tree_depths(t)
     adj = t.adjacency()
     triples = []
     while len(adj) > 2:
@@ -315,7 +368,7 @@ def check_p3_partition(t: RootedTree, part: EdgePartition) -> None:
     assert len(used) == len(set(used)), "pieces reuse an edge"
     assert sorted(set(used)) == sorted(t.edges), "pieces must cover E(T) exactly"
 
-    depth = t.depths()
+    depth = tree_depths(t)
     for end_a, center, end_b in part.p3s:
         assert depth[end_a] == depth[center] + 1, "triple end must be a child of its center"
         assert depth[end_b] == depth[center] + 1, "triple end must be a child of its center"

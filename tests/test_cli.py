@@ -412,6 +412,17 @@ def test_transform_unsatisfiable(tmp_path, capsys):
     assert rc == 2
 
 
+def test_unsatisfiable_names_the_smallest_isolated_vertex(tmp_path, capsys):
+    # vertices 3 and 9 are isolated and both must change color; transform
+    # once named whichever came first in a set's hash order (vertex 9)
+    path = tmp_path / "two_isolated.txt"
+    path.write_text("n 10\n0 1\n1 2\n2 4\n4 5\n5 6\n6 7\n7 8\n")
+    assert main(["transform", "-i", str(path), "--from=++++++++++", "--to=+++-+++++-"]) == 2
+    assert capsys.readouterr().err == "unsatisfiable: vertex 3 is isolated but must change color\n"
+    assert main(["reverse", "-i", str(path)]) == 2
+    assert capsys.readouterr().err == "unsatisfiable: vertex 3 is isolated; its color is invariant\n"
+
+
 def test_apply_command(p3_file, capsys):
     assert main(["apply", "-i", p3_file, "--colors", "+++", "--word", "0,1"]) == 0
     out = capsys.readouterr().out

@@ -11,7 +11,7 @@ from locinv.graph_core import (
     Graph,
     all_plus,
     apply_word,
-    apply_word_graph,
+    component_masks,
     components,
     flip,
     is_connected,
@@ -22,7 +22,7 @@ from locinv.graph_core import (
     replay,
 )
 
-from helpers import local_complement_reference, random_coloring, random_graph
+from helpers import induced_subgraph, local_complement_reference, random_coloring, random_graph
 
 
 @st.composite
@@ -98,8 +98,9 @@ def test_upper_bits_round_trip():
 
 
 def test_induced_subgraph():
+    # the test-side reference that partitioner tests map host ids through
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    sub, ids = g.induced({1, 2, 4})
+    sub, ids = induced_subgraph(g, {1, 2, 4})
     assert ids == (1, 2, 4)
     assert sub.edges() == [(0, 1)]  # only 1-2 survives
 
@@ -168,16 +169,16 @@ def test_word_on_triangle_stage_by_stage():
     assert stages[2] == path_a
     assert stages[3] == path_a
     assert stages[4] == tri
-    assert apply_word_graph(tri, (0, 1, 2, 0)) == tri
+    assert replay(tri.rows, (0, 1, 2, 0))[1] == tri.rows
 
 
 def test_empty_word_and_double_letter():
     rng = random.Random(3)
     for _ in range(20):
         g = random_graph(rng, rng.randint(1, 8))
-        assert apply_word_graph(g, ()) == g
+        assert replay(g.rows, ()) == (0, g.rows)
         a = rng.randrange(g.n)
-        assert apply_word_graph(g, (a, a)) == g
+        assert replay(g.rows, (a, a)) == (0, g.rows)
 
 
 # -- local inversion --------------------------------------------------------
@@ -338,8 +339,8 @@ def test_replay_matches_letter_by_letter_fold():
 
     The fold of :func:`local_inversion` copies every row and negates colors
     letter by letter; the pairwise reference complements one pair at a
-    time.  Both must agree with :func:`replay`, :func:`apply_word` and
-    :func:`apply_word_graph` under the all-plus coloring and 16 seeded
+    time.  Both must agree with :func:`replay` and :func:`apply_word`
+    under the all-plus coloring and 16 seeded
     random colorings, and the flip mask must be the set those colorings
     see negated.
     """
@@ -353,7 +354,6 @@ def test_replay_matches_letter_by_letter_fold():
         for a in w:
             ref = local_complement_reference(ref, a)
         assert rows == ref.rows
-        assert apply_word_graph(g, w) == ref
         for coloring in [all_plus(n)] + [random_coloring(rng, n) for _ in range(16)]:
             b = BicoloredGraph(g, coloring)
             folded = b
@@ -391,6 +391,10 @@ def test_isolated_vertex_is_conserved(b, data):
 def test_components_and_connectivity():
     g = Graph.from_edges(6, [(0, 1), (2, 3), (3, 4)])
     assert components(g) == [frozenset({0, 1}), frozenset({2, 3, 4}), frozenset({5})]
+    assert component_masks(g.rows, 0b111111) == [0b11, 0b11100, 0b100000]
+    # inside a mask: dropping vertex 3 splits {2, 3, 4}
+    assert component_masks(g.rows, 0b110111) == [0b11, 0b100, 0b10000, 0b100000]
+    assert component_masks(g.rows, 0) == []
     assert not is_connected(g)
     assert is_connected(Graph.path(5))
     assert is_connected(Graph(0, ()))
@@ -430,7 +434,6 @@ def test_replayed_rows_validate():
         b = BicoloredGraph(g, random_coloring(rng, n))
         w = [rng.randrange(n) for _ in range(rng.randint(0, 3 * n))]
         assert_validates(apply_word(b, w).graph)
-        assert_validates(apply_word_graph(g, w))
         a = rng.randrange(n)
         assert_validates(local_complement(g, a))
         assert_validates(local_inversion(b, a).graph)
@@ -441,6 +444,5 @@ def test_replayed_rows_validate_fuzzed(b, data):
     w = data.draw(words(b.graph.n))
     a = data.draw(st.integers(0, b.graph.n - 1))
     assert_validates(apply_word(b, w).graph)
-    assert_validates(apply_word_graph(b.graph, w))
     assert_validates(local_complement(b.graph, a))
     assert_validates(local_inversion(b, a).graph)

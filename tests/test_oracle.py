@@ -22,10 +22,9 @@ from locinv.oracle import (
     pack_state,
     summarize,
     survey,
-    unpack_state,
 )
 
-from helpers import min_flip_word_reference, random_coloring, random_graph
+from helpers import min_flip_word_reference, random_coloring, random_graph, unpack_state
 
 
 def brute_force_min_word(b, target, max_len):

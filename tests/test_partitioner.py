@@ -10,8 +10,8 @@ from locinv.graph_core import Graph, iter_bits, mask_of, reachable_mask, upper_r
 from locinv.partitioner import (
     RootedTree,
     _forest_masks,
+    _odd_spanning_rows,
     _p3_rows,
-    odd_degree_spanning_subgraph,
     p3_partition,
     perfect_forest,
 )
@@ -19,6 +19,7 @@ from locinv.partitioner import (
 from helpers import (
     check_p3_partition,
     check_perfect_forest,
+    induced_subgraph,
     labeled_odd_trees,
     odd_tree_shapes,
     p3_partition_reference,
@@ -173,8 +174,8 @@ def test_p3_rows_match_reference_inside_a_host_graph():
 
 
 def test_spanning_subgraph_k2_and_p4():
-    assert odd_degree_spanning_subgraph(Graph.complete(2)) == frozenset({(0, 1)})
-    assert odd_degree_spanning_subgraph(Graph.path(4)) == frozenset({(0, 1), (2, 3)})
+    assert _odd_spanning_rows(Graph.complete(2).rows, 0b11) == [0b10, 0b01]
+    assert _odd_spanning_rows(Graph.path(4).rows, 0b1111) == [0b10, 0b01, 0b1000, 0b100]
 
 
 def test_spanning_subgraph_degree_parity():
@@ -182,20 +183,18 @@ def test_spanning_subgraph_degree_parity():
     for _ in range(60):
         n = rng.choice(range(2, 15, 2))
         g = random_connected_graph(rng, n)
-        edges = odd_degree_spanning_subgraph(g)
-        deg = [0] * n
-        for u, v in edges:
-            assert g.has_edge(u, v)
-            deg[u] += 1
-            deg[v] += 1
-        assert all(d % 2 == 1 for d in deg)
+        f = _odd_spanning_rows(g.rows, (1 << n) - 1)
+        for u in range(n):
+            assert f[u] & ~g.rows[u] == 0
+            assert f[u].bit_count() % 2 == 1
+            assert all((f[v] >> u) & 1 for v in iter_bits(f[u]))
 
 
 def test_spanning_subgraph_preconditions():
     with pytest.raises(ValueError):
-        odd_degree_spanning_subgraph(Graph.path(3))  # odd order
+        _odd_spanning_rows(Graph.path(3).rows, 0b111)  # odd order
     with pytest.raises(ValueError):
-        odd_degree_spanning_subgraph(Graph.from_edges(4, [(0, 1), (2, 3)]))  # disconnected
+        _odd_spanning_rows(Graph.from_edges(4, [(0, 1), (2, 3)]).rows, 0b1111)  # disconnected
 
 
 # -- perfect forest --------------------------------------------------------------
@@ -216,7 +215,7 @@ def test_perfect_forest_k4_is_a_matching():
     k4 = Graph.complete(4)
     for size in (3, 4):
         for vs in combinations(range(4), size):
-            sub, _ = k4.induced(vs)
+            sub, _ = induced_subgraph(k4, vs)
             assert sub.edge_count() > sub.n - 1
 
 
@@ -322,7 +321,7 @@ def test_forest_masks_on_a_vertex_mask_match_the_induced_copy():
         s = _random_connected_subset(rng, g)
         if s is None:
             continue
-        sub, ids = g.induced(iter_bits(s))
+        sub, ids = induced_subgraph(g, iter_bits(s))
         expected = [
             mask_of(ids[v] for e in tree for v in e)
             for tree in perfect_forest_reference(sub).trees

@@ -24,7 +24,6 @@ from locinv.partitioner import RootedTree
 from locinv.synthesizer import (
     CertifiedWord,
     base_case_word,
-    certificate_holds,
     color_reversal_word,
     complete_word,
     flip_single,
@@ -207,7 +206,7 @@ def test_vertex_gadget_takes_the_first_triangle_then_the_first_induced_path():
                 expected = (gadget_p3_end(a, *min(paths)), "p3-end")
             else:
                 expected = None
-            assert synth._vertex_gadget(g, a, allowed) == expected
+            assert synth._vertex_gadget(g.rows, a, allowed) == expected
 
 
 def test_flip_single_preconditions():
@@ -360,6 +359,11 @@ def test_subgraph_reversal_preconditions():
     c6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
     with pytest.raises(ValueError):
         reverse_even_subgraph(c6, {0, 1, 3, 4}, 0)  # disconnected induced
+    for bad in (7, -1):  # a vertex outside the graph is named, not indexed
+        with pytest.raises(ValueError, match=f"vertex {bad} outside 0..5"):
+            reverse_even_subgraph(c6, {0, 1, 2, bad}, 0)
+        with pytest.raises(ValueError, match=f"vertex {bad} outside 0..5"):
+            reverse_odd_subgraph(c6, {0, 1, 2, 3, bad})
 
 
 # -- whole-graph reversal -------------------------------------------------------------------
@@ -577,14 +581,12 @@ def test_transform_soundness_property(n, data):
     assert apply_word(BicoloredGraph(g, f), cw.word) == BicoloredGraph(g, t)
 
 
-def test_certificate_holds_rejects_wrong_target():
+def test_verify_certificate_rejects_wrong_target():
     g = Graph.complete(2)
-    good = CertifiedWord(gadget_edge(0, 1), frozenset({0, 1}), 6, "test")
+    verify_certificate(g, CertifiedWord(gadget_edge(0, 1), frozenset({0, 1}), 6, "test"))
     bad = CertifiedWord(gadget_edge(0, 1), frozenset({0}), 6, "test")
-    assert certificate_holds(g, good)
-    assert not certificate_holds(g, bad)
-    for letter in (5, -1):
-        assert not certificate_holds(g, CertifiedWord((0, letter), frozenset({0}), 6, "t"))
+    with pytest.raises(VerificationError, match=r"word flips \[0, 1\], target is \[0\]"):
+        verify_certificate(g, bad)
 
 
 def test_verify_certificate_error_paths():
@@ -626,7 +628,13 @@ from locinv.graph_core import Graph
 g = Graph.path(5)
 good = synth.color_reversal_word(g)
 tampered = synth.CertifiedWord(good.word[:-1], good.target_flip, good.bound, "t")
-seen = [__debug__, synth.certificate_holds(g, good), synth.certificate_holds(g, tampered)]
+seen = [__debug__]
+for cw in (good, tampered):
+    try:
+        synth.verify_certificate(g, cw)
+        seen.append("holds")
+    except VerificationError:
+        seen.append("rejected")
 real = synth._reverse_component_word
 synth._reverse_component_word = lambda g, comp: real(g, comp)[:-1]
 try:
@@ -646,4 +654,4 @@ def test_tampered_certificate_rejected_under_optimize_flag():
         [sys.executable, "-O", "-c", _TAMPERED_UNDER_O],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
-    assert out.stdout.strip() == "[False, True, False, 'raised']"
+    assert out.stdout.strip() == "[False, 'holds', 'rejected', 'raised']"
