@@ -4,20 +4,25 @@ A bicolored graph on n vertices packs into a single integer, row-major:
 row v of the adjacency matrix sits at bits ``[n*v, n*v + n)`` and the
 coloring at bits ``[n*n, n*n + n)`` (bit set means the vertex is colored
 -1).  A local inversion at ``a`` with neighborhood S then XORs a fixed
-integer that depends on S alone, so breadth-first search over the n
-successor moves per state is one table lookup and one XOR per move.  The
-search yields shortest transformation words, the exact color reversal
-number of small graphs, and an exhaustive survey of all connected graphs
-up to a vertex cap.
+integer that depends on S alone, so a move in breadth-first search is one
+table lookup and one XOR.  Inversions at two non-adjacent vertices
+commute, so after letter ``a`` the search tries only the letters above
+``a`` and the neighbours of ``a`` below it.  The search yields shortest
+transformation words, the exact color reversal number of small graphs,
+and an exhaustive survey of all connected graphs up to a vertex cap.
 
 Between two colorings of one graph the search runs forward to half the
 distance only (see :func:`min_flip_word`), so it visits a ball of half
 the radius of the orbit: 12,225 states for the 7-vertex path (orbit
 28,672), 13,047 for the 6-cycle (orbit 23,808) and 83,827 for the
-7-cycle.  The default cap is 7 vertices, and the survey of everything up
-to 5 vertices runs in well under a second.  No cap lifts a
-search above :data:`MAX_CAP` vertices: the move table alone has 2^n
-entries, and enumeration tries every vertex permutation.
+7-cycle.  :data:`MAX_STATES` bounds the states of any one search.
+
+The survey enumerates one graph per isomorphism class by vertex
+augmentation (:func:`connected_graphs`): the 853 connected classes on 7
+vertices take well under a second, and the survey of all 995 classes
+up to 7 vertices runs in under a minute on one core.  The default cap is
+7 vertices, and no cap lifts a search above :data:`MAX_CAP` vertices: the
+move table alone has 2^n entries.
 """
 
 from __future__ import annotations
@@ -26,8 +31,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, UnsatisfiableError
 from .graph_core import (
@@ -36,7 +40,7 @@ from .graph_core import (
     Word,
     all_plus,
     flip,
-    reachable_mask,
+    iter_bits,
     upper_rows,
 )
 from .graph6 import emit_graph6
@@ -93,6 +97,107 @@ def _move_table(n: int) -> tuple[int, ...]:
 # A visited state stores its depth above the letter that first reached it.
 LETTER_BITS = (MAX_CAP - 1).bit_length()
 LETTER_MASK = (1 << LETTER_BITS) - 1
+# Ceiling on the states one search may hold, about 250 MB of search
+# tables: a layer whose expansion could take the visited set past it raises
+# CapExceededError instead.  At that check the survey up to 7 vertices
+# peaks at 223,644 and the 8-cycle at 1,127,796.
+MAX_STATES = 2_000_000
+
+
+@cache
+def _letter_table(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """Entry ``[a][row]``: the ``(letter, shift)`` moves tried after letter ``a``.
+
+    ``row`` is row a of the state.  Local inversions at two non-adjacent
+    vertices commute, colors included, so after ``a`` a letter ``b < a``
+    not adjacent to ``a`` only reaches a state that the word ending
+    ``b a`` reaches at the same depth and earlier in vertex order; the
+    entry keeps ``b > a`` and the neighbours ``b < a``, in increasing
+    order.  Entry ``[n]`` is for the start state, which has no last letter:
+    it tries every letter whatever its index.  Entries are shared: row a
+    matters only below bit a.
+    """
+    moves = tuple((b, n * b) for b in range(n))
+    table = []
+    for a in range(n):
+        after = [
+            tuple(m for m in moves if m[0] > a or low >> m[0] & 1) for low in range(1 << a)
+        ]
+        table.append(tuple(after[row & ((1 << a) - 1)] for row in range(1 << n)))
+    table.append((moves,) * (1 << n))
+    return tuple(table)
+
+
+def _search(start: int, goal: int, n: int) -> tuple[Word | None, int]:
+    """Witness from packed state ``start`` to ``goal`` and the states visited.
+
+    The witness is None when ``goal`` is unreachable.
+    """
+    moves = _move_table(n)
+    after = _letter_table(n)
+    full = (1 << n) - 1
+    # shifts[n] reads the colors: any index does for the start's entry
+    shifts = [n * a for a in range(n + 1)]
+    # key -> depth << LETTER_BITS | the letter that first reached it; the
+    # move at a leaves row a unchanged and is an involution, so the parent
+    # is recomputed from the letter
+    seen: dict[int, int] = {start: 0}
+    tau = start ^ goal
+    if tau >> (n * n) << (n * n) == tau:  # one graph: tau flips colors only
+        meet = seen  # the distance from z to the goal is the depth of z ^ tau
+    else:
+        meet, tau = {goal: 0}, 0
+    layer = [start]
+    lasts = [n]  # the last letter of each state's first word; n at the start
+    depth = 0
+    while True:
+        rest = None
+        for y in layer:
+            code = meet.get(y ^ tau)
+            if code is not None and (rest is None or code >> LETTER_BITS < rest):
+                rest, mid = code >> LETTER_BITS, y
+                if rest < depth:  # a hit is at least depth - 1 from the goal
+                    break
+        if rest is not None:
+            break
+        if len(seen) + len(layer) * n > MAX_STATES:
+            raise CapExceededError(
+                f"search would exceed {MAX_STATES} states at depth {depth + 1}"
+            )
+        depth += 1
+        base = depth << LETTER_BITS
+        nxt: list[int] = []
+        nlasts: list[int] = []
+        for key, a in zip(layer, lasts):
+            for b, shift in after[a][(key >> shifts[a]) & full]:
+                nkey = key ^ moves[(key >> shift) & full]
+                if nkey not in seen:
+                    seen[nkey] = base | b
+                    nxt.append(nkey)
+                    nlasts.append(b)
+        if not nxt:
+            return None, len(seen)
+        layer, lasts = nxt, nlasts
+
+    letters: list[int] = []
+    x = mid
+    for _ in range(depth):
+        a = seen[x] & LETTER_MASK
+        letters.append(a)
+        x ^= moves[(x >> shifts[a]) & full]
+    letters.reverse()
+    x = mid
+    for need in range(rest - 1, -1, -1):
+        for a in range(n):
+            nkey = x ^ moves[(x >> shifts[a]) & full]
+            code = meet.get(nkey ^ tau)
+            if code is not None and code >> LETTER_BITS == need:
+                break
+        letters.append(a)
+        x = nkey
+    if x != goal:
+        raise RuntimeError("meet-in-the-middle witness does not reach the target")
+    return tuple(letters), len(seen)
 
 
 def min_flip_word(
@@ -105,7 +210,10 @@ def min_flip_word(
     order: by induction on the layer, a layer's discovery order is the
     lexicographic order of the first words reaching its states, since a
     state's first word extends the first word of its earliest parent by the
-    smallest letter into it.
+    smallest letter into it.  A first word never ends in ``a b`` with
+    ``b < a`` and b not adjacent to a, because ``b a`` reaches the same
+    state; so from a state first reached by ``a`` the search skips those
+    letters (:func:`_letter_table`), which changes no discovery.
 
     The search runs forward only, to half the distance.  When the target
     has the start's graph, ``tau = start ^ goal`` touches colors only, so it
@@ -118,7 +226,8 @@ def min_flip_word(
     as itself, which makes the same loop plain breadth-first search.
 
     Raises :class:`CapExceededError` on more than ``cap`` vertices, or more
-    than :data:`MAX_CAP`.
+    than :data:`MAX_CAP`, and when a layer could take the search past
+    :data:`MAX_STATES` visited states.
     """
     n = b.graph.n
     if target.graph.n != n:
@@ -126,65 +235,8 @@ def min_flip_word(
     limit = min(cap, MAX_CAP)
     if n > limit:
         raise CapExceededError(f"{n} vertices exceed the search cap {limit}")
-
-    start = pack_state(b)
-    goal = pack_state(target)
-    moves = _move_table(n)
-    full = (1 << n) - 1
-    shifts = [n * a for a in range(n)]
-    # key -> depth << LETTER_BITS | the letter that first reached it; the
-    # move at a leaves row a unchanged and is an involution, so the parent
-    # is recomputed from the letter
-    seen: dict[int, int] = {start: 0}
-    tau = start ^ goal
-    if tau >> (n * n) << (n * n) == tau:  # one graph: tau flips colors only
-        meet = seen  # the distance from z to the goal is the depth of z ^ tau
-    else:
-        meet, tau = {goal: 0}, 0
-    layer = [start]
-    depth = 0
-    while True:
-        rest = None
-        for y in layer:
-            code = meet.get(y ^ tau)
-            if code is not None and (rest is None or code >> LETTER_BITS < rest):
-                rest, mid = code >> LETTER_BITS, y
-                if rest < depth:  # a hit is at least depth - 1 from the goal
-                    break
-        if rest is not None:
-            break
-        depth += 1
-        steps = [(depth << LETTER_BITS | a, shift) for a, shift in enumerate(shifts)]
-        nxt: list[int] = []
-        for key in layer:
-            for code, shift in steps:
-                nkey = key ^ moves[(key >> shift) & full]
-                if nkey not in seen:
-                    seen[nkey] = code
-                    nxt.append(nkey)
-        if not nxt:
-            return None
-        layer = nxt
-
-    letters: list[int] = []
-    x = mid
-    for _ in range(depth):
-        a = seen[x] & LETTER_MASK
-        letters.append(a)
-        x ^= moves[(x >> shifts[a]) & full]
-    letters.reverse()
-    x = mid
-    for need in range(rest - 1, -1, -1):
-        for a, shift in enumerate(shifts):
-            nkey = x ^ moves[(x >> shift) & full]
-            code = meet.get(nkey ^ tau)
-            if code is not None and code >> LETTER_BITS == need:
-                break
-        letters.append(a)
-        x = nkey
-    if x != goal:
-        raise RuntimeError("meet-in-the-middle witness does not reach the target")
-    return (len(letters), tuple(letters))
+    word, _ = _search(pack_state(b), pack_state(target), n)
+    return None if word is None else (len(word), word)
 
 
 # -- reports ---------------------------------------------------------------
@@ -226,53 +278,73 @@ def exact_cr(g: Graph, cap: int = DEFAULT_CAP) -> CrReport:
 # -- enumeration -------------------------------------------------------------
 
 
-def _bit_remaps(n: int) -> list[tuple[int, ...]]:
-    """For each vertex permutation, where each upper-triangle bit lands."""
-    index = {}
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            index[(i, j)] = k
-            k += 1
-    remaps = []
-    for perm in permutations(range(n)):
-        table = [0] * k
-        for (i, j), src in index.items():
-            pi, pj = perm[i], perm[j]
-            table[src] = index[(pi, pj) if pi < pj else (pj, pi)]
-        remaps.append(tuple(table))
-    return remaps
+def _canonical_bits(rows: Sequence[int], n: int) -> int:
+    """Smallest packed upper-triangle bits over all relabelings of ``rows``.
+
+    Labels are handed out from n - 1 down; the column of label L (its
+    adjacency to labels below it) is the most significant part still open.
+    The unlabeled vertices sit in ordered cells, lowest labels first, each
+    owning a run of consecutive labels.  The vertex for the highest free
+    label comes from the top cell, and its column is smallest when every
+    cell puts that vertex's neighbours on its lowest labels: its value is
+    then fixed by the neighbour count per cell, and every cell splits into
+    neighbours (lower) and non-neighbours (higher).  Only the top-cell
+    vertices with the smallest column survive; ties branch.  A branch is
+    described by its cells alone, so branches with equal cells merge.
+    """
+    level = {((1 << n) - 1,)}
+    bits = 0
+    for top in range(n - 1, 0, -1):
+        best = None
+        nxt: set[tuple[int, ...]] = set()
+        for cells in level:
+            below, last = cells[:-1], cells[-1]
+            for v in iter_bits(last):
+                row = rows[v]
+                col = pos = 0
+                split = []
+                for c in below + (last & ~(1 << v),):
+                    near = c & row
+                    if near:
+                        col |= ((1 << near.bit_count()) - 1) << pos
+                        split.append(near)
+                    if c != near:
+                        split.append(c ^ near)
+                    pos += c.bit_count()
+                if best is None or col < best:
+                    best, nxt = col, set()
+                if col == best:
+                    nxt.add(tuple(split))
+        bits |= best << (top * (top - 1) // 2)
+        level = nxt
+    return bits
 
 
 def connected_graphs(n: int) -> Iterator[Graph]:
     """All connected graphs on ``n`` vertices, one per isomorphism class.
 
-    Canonical representatives minimize the packed upper-triangle bits over
-    all vertex permutations, found by brute force; fine for n <= 7.
+    The representative of a class is its relabeling with the smallest
+    packed upper-triangle bits (:func:`_canonical_bits`), and classes come
+    in ascending order of those bits.  Classes of order k grow from those
+    of order k - 1 by a new vertex joined to each nonempty vertex subset:
+    every connected graph has a vertex whose removal leaves it connected,
+    so every class arises.  Nothing is kept between calls.
     """
     if n <= 1:
         yield Graph(n, (0,) * n)
         return
-    remaps = _bit_remaps(n)
-    nbits = n * (n - 1) // 2
-    full = (1 << n) - 1
-    for bits in range(1 << nbits):
-        rows = upper_rows(n, bits)
-        if reachable_mask(rows, 0, full) != full:
-            continue
-        smaller = False
-        for table in remaps:
-            permuted = 0
-            m = bits
-            while m:
-                low = m & -m
-                permuted |= 1 << table[low.bit_length() - 1]
-                m ^= low
-            if permuted < bits:
-                smaller = True
-                break
-        if not smaller:
-            yield Graph(n, tuple(rows))
+    level = [0]  # the one-vertex graph
+    for k in range(2, n + 1):
+        found = set()
+        for bits in level:
+            rows = upper_rows(k - 1, bits)
+            for s in range(1, 1 << (k - 1)):
+                grown = [row | (s >> i & 1) << (k - 1) for i, row in enumerate(rows)]
+                grown.append(s)
+                found.add(_canonical_bits(grown, k))
+        level = sorted(found)
+    for bits in level:
+        yield Graph.from_upper_bits(n, bits)
 
 
 # -- survey -------------------------------------------------------------------

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from itertools import product
+from itertools import permutations, product
 
-from locinv.graph_core import BicoloredGraph, Graph, iter_bits
+from locinv.graph_core import BicoloredGraph, Graph, iter_bits, reachable_mask, upper_rows
 from locinv.partitioner import EdgePartition, PerfectForest, RootedTree
 
 
@@ -167,6 +167,57 @@ def min_flip_word_reference(b: BicoloredGraph, target: BicoloredGraph):
                 nxt.append(child)
         frontier = nxt
     return None
+
+
+def _bit_remaps(n: int) -> list[tuple[int, ...]]:
+    """For each vertex permutation, where each upper-triangle bit lands."""
+    index = {}
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            index[(i, j)] = k
+            k += 1
+    remaps = []
+    for perm in permutations(range(n)):
+        table = [0] * k
+        for (i, j), src in index.items():
+            pi, pj = perm[i], perm[j]
+            table[src] = index[(pi, pj) if pi < pj else (pj, pi)]
+        remaps.append(tuple(table))
+    return remaps
+
+
+def connected_graphs_reference(n: int):
+    """Connected graphs on ``n`` vertices by brute force, one per class.
+
+    Every packed upper-triangle mask is tried in ascending order, and a
+    connected one is kept when no vertex permutation makes it smaller.
+    This is the enumerator :func:`locinv.oracle.connected_graphs` replaced;
+    it needs n! permutations per mask, so it is for n <= 6.
+    """
+    if n <= 1:
+        yield Graph(n, (0,) * n)
+        return
+    remaps = _bit_remaps(n)
+    nbits = n * (n - 1) // 2
+    full = (1 << n) - 1
+    for bits in range(1 << nbits):
+        rows = upper_rows(n, bits)
+        if reachable_mask(rows, 0, full) != full:
+            continue
+        smaller = False
+        for table in remaps:
+            permuted = 0
+            m = bits
+            while m:
+                low = m & -m
+                permuted |= 1 << table[low.bit_length() - 1]
+                m ^= low
+            if permuted < bits:
+                smaller = True
+                break
+        if not smaller:
+            yield Graph(n, tuple(rows))
 
 
 def perfect_forest_reference(g: Graph) -> PerfectForest:

@@ -224,6 +224,17 @@ def test_exact_refuses_a_cap_above_the_search_ceiling(tmp_path, capsys, monkeypa
     assert captured.err == f"error: 40 vertices exceed the search cap {MAX_CAP}\n"
 
 
+def test_exact_reports_a_search_over_the_state_budget(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_STATES", 1000)
+    path = tmp_path / "p7.txt"
+    path.write_text(emit_edge_list(Graph.path(7)))
+    assert main(["exact", "-i", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: search would exceed 1000 states at depth ")
+    assert "Traceback" not in captured.err
+
+
 def test_colors_round_trip_and_errors():
     assert parse_colors("+-+", 3) == (1, -1, 1)
     assert format_colors((1, -1, 1)) == "+-+"

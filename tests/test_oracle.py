@@ -13,9 +13,11 @@ from locinv.graph_core import (
     all_plus,
     apply_word,
     flip,
+    is_connected,
 )
 from locinv.oracle import (
     MAX_CAP,
+    _canonical_bits,
     connected_graphs,
     exact_cr,
     min_flip_word,
@@ -24,7 +26,13 @@ from locinv.oracle import (
     survey,
 )
 
-from helpers import min_flip_word_reference, random_coloring, random_graph, unpack_state
+from helpers import (
+    connected_graphs_reference,
+    min_flip_word_reference,
+    random_coloring,
+    random_graph,
+    unpack_state,
+)
 
 
 def brute_force_min_word(b, target, max_len):
@@ -176,6 +184,92 @@ def test_min_flip_word_matches_tuple_search_on_random_pairs():
     assert unreachable >= 20
 
 
+def test_min_flip_word_matches_tuple_search_on_graph_changing_targets():
+    # targets at the end of a random word, whose graph mostly differs from
+    # the start's, on start graphs that are often disconnected
+    rng = random.Random(59)
+    changed = disconnected = 0
+    for _ in range(80):
+        n = rng.randint(2, 6)
+        g = random_graph(rng, n)
+        b = BicoloredGraph(g, random_coloring(rng, n))
+        target = apply_word(b, [rng.randrange(n) for _ in range(rng.randint(1, 8))])
+        assert min_flip_word(b, target) == min_flip_word_reference(b, target)
+        changed += target.graph != g
+        disconnected += not is_connected(g)
+    assert changed >= 30 and disconnected >= 20
+
+
+def test_letter_table_skips_commuting_letters():
+    table = oracle._letter_table(4)
+    # after letter 2, the letters below it are tried only where adjacent
+    assert [b for b, _ in table[2][0b0000]] == [3]
+    assert [b for b, _ in table[2][0b1001]] == [0, 3]
+    assert [b for b, _ in table[2][0b1011]] == [0, 1, 3]
+    assert [shift for _, shift in table[2][0b1011]] == [0, 4, 12]
+    # the start tries every letter, whatever its row
+    assert all([b for b, _ in entry] == [0, 1, 2, 3] for entry in table[4])
+    assert table[0][0b0110] is table[0][0b1000]  # entries are shared
+
+
+class _CountingTable(tuple):
+    """A move table that counts its lookups, one per move tried."""
+
+    lookups = 0
+
+    def __getitem__(self, i):
+        self.lookups += 1
+        return tuple.__getitem__(self, i)
+
+
+def _every_letter(n):
+    every = tuple((b, n * b) for b in range(n))
+    return ((every,) * (1 << n),) * (n + 1)
+
+
+@pytest.mark.parametrize(
+    "g, visited, pruned, unpruned",
+    [(Graph.path(7), 12_225, 26_088, 54_626), (_cycle(6), 13_047, 31_970, 51_947)],
+)
+def test_search_tries_fewer_moves_and_visits_the_same_states(
+    monkeypatch, g, visited, pruned, unpruned
+):
+    # moves counted over the whole search, witness reconstruction included;
+    # trying every letter from every state is the search before the letter
+    # table, and both must find the same witness over the same states
+    b = BicoloredGraph(g, all_plus(g.n))
+    start, goal = pack_state(b), pack_state(flip(b, range(g.n)))
+    moves = oracle._move_table(g.n)
+    results, tried = [], []
+    for letters in (oracle._letter_table, _every_letter):
+        table = _CountingTable(moves)
+        monkeypatch.setattr(oracle, "_move_table", lambda n: table)
+        monkeypatch.setattr(oracle, "_letter_table", letters)
+        results.append(oracle._search(start, goal, g.n))
+        tried.append(table.lookups)
+    assert results[0] == results[1]
+    assert results[0][1] == visited
+    assert tried == [pruned, unpruned]
+
+
+def test_state_budget_stops_a_search(monkeypatch):
+    b = BicoloredGraph(Graph.path(7), all_plus(7))
+    monkeypatch.setattr(oracle, "MAX_STATES", 1000)
+    with pytest.raises(CapExceededError, match="search would exceed 1000 states"):
+        min_flip_word(b, flip(b, range(7)))
+    # a search that stays within the budget is unaffected
+    small = BicoloredGraph(Graph.path(3), all_plus(3))
+    assert min_flip_word(small, flip(small, range(3)))[0] == 9
+
+
+def test_state_budget_holds_the_seven_vertex_searches():
+    # the survey up to 7 vertices peaks at 223,644 at the budget check;
+    # the slow survey test runs all of it
+    assert oracle.MAX_STATES >= 223_644
+    b = BicoloredGraph(_cycle(7), all_plus(7))
+    assert min_flip_word(b, flip(b, range(7)))[0] == 21
+
+
 def test_min_flip_word_pinned_witnesses():
     # the first shortest word in breadth-first discovery order; exact and
     # survey print these, so they must not change with the state encoding
@@ -256,13 +350,45 @@ def test_exact_cr_coloring_independent():
 
 
 def test_connected_graph_census():
-    counts = {n: sum(1 for _ in connected_graphs(n)) for n in range(1, 6)}
-    assert counts == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21}
+    counts = {n: sum(1 for _ in connected_graphs(n)) for n in range(1, 8)}
+    assert counts == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+
+
+@pytest.mark.parametrize("n", [*range(6), pytest.param(6, marks=pytest.mark.slow)])
+def test_connected_graphs_match_the_brute_force_enumeration(n):
+    # the same representatives in the same order as trying every vertex
+    # permutation of every mask
+    assert list(connected_graphs(n)) == list(connected_graphs_reference(n))
+
+
+def test_connected_graphs_match_the_networkx_atlas():
+    # an independent census: the atlas lists every graph up to 7 vertices,
+    # and each connected one, under any labeling, has one of our
+    # representatives as its canonical form
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(67)
+    found = {n: set() for n in range(1, 8)}
+    for h in nx.graph_atlas_g()[1:]:
+        if not nx.is_connected(h):
+            continue
+        n = h.number_of_nodes()
+        label = {v: i for i, v in enumerate(h)}
+        perm = rng.sample(range(n), n)
+        rows, moved = [0] * n, [0] * n
+        for u, v in h.edges():
+            i, j = label[u], label[v]
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+            moved[perm[i]] |= 1 << perm[j]
+            moved[perm[j]] |= 1 << perm[i]
+        bits = _canonical_bits(rows, n)
+        assert _canonical_bits(moved, n) == bits
+        found[n].add(bits)
+    for n in range(1, 8):
+        assert found[n] == {g.upper_bits() for g in connected_graphs(n)}
 
 
 def test_connected_graphs_are_connected_and_distinct():
-    from locinv.graph_core import is_connected
-
     seen = set()
     for g in connected_graphs(4):
         assert is_connected(g)
@@ -350,6 +476,28 @@ def test_survey_extends_to_six_vertices():
     assert summary.graphs == 142  # 30 smaller classes plus 112 at n = 6
     assert summary.violations == ()
     assert summary.max_cr == 18
+    assert summary.max_ratio == 1.0
+    for rep in reports:
+        assert rep.exact_cr is not None
+        assert rep.exact_cr <= 3 * rep.n
+        g = parse_graph6(rep.graph_id)
+        b = BicoloredGraph(g, all_plus(g.n))
+        assert apply_word(b, rep.witness) == flip(b, range(g.n))
+
+
+@pytest.mark.slow
+def test_survey_extends_to_seven_vertices():
+    # all 995 connected classes with 2 to 7 vertices, 853 of them on 7:
+    # cr <= 3n holds on every one, every witness replays, and the sandwich
+    # exact <= synthesized <= bound stays intact
+    from locinv.graph6 import parse_graph6
+
+    reports = survey(7, jobs=2)
+    summary = summarize(reports)
+    assert summary.graphs == 995
+    assert sum(rep.n == 7 for rep in reports) == 853
+    assert summary.violations == ()
+    assert summary.max_cr == 21
     assert summary.max_ratio == 1.0
     for rep in reports:
         assert rep.exact_cr is not None

@@ -472,6 +472,20 @@ def test_transform_strategy_tags():
     assert len(cw.word) <= cw.bound
 
 
+def test_transform_tie_keeps_the_disagreement_word():
+    # recoloring vertices 0, 1 and 3 of P4: flipping them directly and
+    # flipping vertex 2 before reversing all of P4 both take 13 letters;
+    # on a tie the direct word wins
+    g = Graph.path(4)
+    diff, comp = 0b1011, 0b1111
+    fix = synth._flip_set_word(g.rows, diff)
+    alt = synth._flip_set_word(g.rows, comp & ~diff) + synth._reverse_component_word(g.rows, comp)
+    assert len(fix) == len(alt) == 13 and fix != alt
+    cw = transform_word(g, all_plus(4), (-1, -1, 1, -1))
+    assert cw.construction == "transform/fix-V1"
+    assert cw.word == fix == (0, 1, 0, 1, 0, 1, 2, 3, 1, 3, 2, 1, 3)
+
+
 def test_transform_complement_strategy_wins_on_large_star_leaves():
     # recoloring every leaf of a big star: pairing the leaves costs 8 per
     # pair, but flipping the center and reversing the whole star is shorter
