@@ -17,7 +17,6 @@ from .graph_core import (
     BicoloredGraph,
     Coloring,
     Graph,
-    VertexSet,
     Word,
     all_plus,
     apply_word,

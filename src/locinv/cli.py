@@ -351,38 +351,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COLOR_OPTS = ("--from", "--to", "--colors")
+_COLOR_OPTS = {"--from": "from_colors", "--to": "to_colors", "--colors": "colors"}
 
 
 def _shield_color_values(argv: list[str]) -> tuple[list[str], dict[str, str]]:
     """Hide minus-leading color tokens from argparse.
 
     argparse reads ``--to ---`` as a missing argument and silently drops a
-    literal ``--`` value, so color values are extracted here and restored
-    after parsing; a ``+`` placeholder keeps required-argument checks alive.
+    literal ``--`` value, so color values are extracted here, keyed by
+    their argparse destination, and restored after parsing; a ``+``
+    placeholder keeps required-argument checks alive.
     """
     shielded: list[str] = []
     raw: dict[str, str] = {}
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        hit = False
-        for name in _COLOR_OPTS:
-            if tok == name and i + 1 < len(argv):
-                raw[name] = argv[i + 1]
-                shielded += [tok, "+"]
-                i += 2
-                hit = True
-                break
-            if tok.startswith(name + "="):
-                raw[name] = tok[len(name) + 1 :]
-                shielded.append(name + "=+")
-                i += 1
-                hit = True
-                break
-        if not hit:
+    tokens = iter(argv)
+    for tok in tokens:
+        name, eq, value = tok.partition("=")
+        dest = _COLOR_OPTS.get(name)
+        if dest is None:
             shielded.append(tok)
-            i += 1
+        elif eq:
+            raw[dest] = value
+            shielded.append(name + "=+")
+        elif (value := next(tokens, None)) is None:
+            shielded.append(tok)
+        else:
+            raw[dest] = value
+            shielded += [tok, "+"]
     return shielded, raw
 
 
@@ -391,12 +386,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     shielded, raw = _shield_color_values(argv)
     args = parser.parse_args(shielded)
-    if "--from" in raw and hasattr(args, "from_colors"):
-        args.from_colors = raw["--from"]
-    if "--to" in raw and hasattr(args, "to_colors"):
-        args.to_colors = raw["--to"]
-    if "--colors" in raw and hasattr(args, "colors"):
-        args.colors = raw["--colors"]
+    for dest, value in raw.items():
+        if hasattr(args, dest):
+            setattr(args, dest, value)
     try:
         return args.func(args)
     except UnsatisfiableError as exc:

@@ -28,7 +28,6 @@ from typing import Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
 Coloring = tuple[int, ...]
-VertexSet = frozenset[int]
 
 
 def iter_bits(mask: int) -> Iterator[int]:

@@ -3,14 +3,16 @@
 Both constructions work on neighbour bitmask rows of a host graph
 (``rows[v]`` as in :attr:`locinv.graph_core.Graph.rows`) restricted to a
 vertex set given as an ``int`` mask, so a piece of a larger graph is
-decomposed in place, with no relabelled copy:
+decomposed in place, with no relabelled copy.  A :class:`RootedTree`
+validates a tree given by its edges and exposes it in the same encoding:
+:meth:`RootedTree.rows` maps each tree vertex to its neighbour mask.
 
 * :func:`_p3_rows` splits the edges of a rooted odd tree (every vertex of
   odd degree) into length-2 paths plus a single edge at the root, with the
   properties the synthesizer relies on: path ends are children of their
   center, the root is an end of the single edge, and every vertex is an
   end of exactly one piece.  :func:`p3_partition` is its
-  :class:`RootedTree` form.
+  :class:`RootedTree` form, run on the tree's rows.
 
 * :func:`_forest_masks` finds a spanning forest of a connected even-order
   induced subgraph whose trees are induced subgraphs and odd trees, one
@@ -28,11 +30,10 @@ break toward smaller vertex ids throughout.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph_core import Graph, component_masks, iter_bits, mask_of
+from .graph_core import Graph, component_masks, iter_bits, mask_of, reachable_mask
 
 Edge = tuple[int, int]
 
@@ -43,7 +44,11 @@ def _norm_edge(u: int, v: int) -> Edge:
 
 @dataclass(frozen=True, slots=True)
 class RootedTree:
-    """A tree on an arbitrary vertex set with a distinguished root."""
+    """A tree on an arbitrary vertex set with a distinguished root.
+
+    The constructor sorts the edges and checks that they span the vertex
+    set as a tree; :meth:`rows` gives the tree's neighbour bitmasks.
+    """
 
     vertices: frozenset[int]
     edges: tuple[Edge, ...]
@@ -58,31 +63,23 @@ class RootedTree:
             raise ValueError(f"root {self.root} not among the tree vertices")
         if len(es) != len(vs) - 1:
             raise ValueError(f"{len(vs)} vertices need {len(vs) - 1} tree edges, got {len(es)}")
-        adj = self.adjacency()
         for u, v in es:
             if u not in vs or v not in vs:
                 raise ValueError(f"edge ({u}, {v}) leaves the vertex set")
-        seen = {self.root}
-        queue = deque([self.root])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        if seen != vs:
+        tree = mask_of(vs)
+        if reachable_mask(self.rows(), self.root, tree) != tree:
             raise ValueError("tree edges do not connect the vertex set")
 
-    def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
+    def rows(self) -> dict[int, int]:
+        """Neighbour bitmask of each tree vertex, in the encoding of :attr:`Graph.rows`."""
+        rows = dict.fromkeys(self.vertices, 0)
         for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        return rows
 
     def is_odd_tree(self) -> bool:
-        adj = self.adjacency()
-        return all(len(adj[v]) % 2 == 1 for v in self.vertices)
+        return all(row.bit_count() & 1 for row in self.rows().values())
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,7 +151,7 @@ def p3_partition(t: RootedTree) -> EdgePartition:
     leaves, and since deg(v) is odd and at least 3 it has two leaf children
     ``u < w`` to detach as the triple (u, v, w).  What remains is a smaller
     odd tree; after (n-2)/2 rounds only the root and one neighbor survive,
-    forming the final edge.  The tree is converted to rows once and
+    forming the final edge.  The tree's :meth:`RootedTree.rows` are
     partitioned by :func:`_p3_rows`.
     """
     n = len(t.vertices)
@@ -162,11 +159,7 @@ def p3_partition(t: RootedTree) -> EdgePartition:
         raise ValueError(f"need an even vertex count >= 2, got {n}")
     if not t.is_odd_tree():
         raise ValueError("every tree vertex must have odd degree")
-    rows = [0] * (max(t.vertices) + 1)
-    for u, v in t.edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return _p3_rows(rows, mask_of(t.vertices), t.root)
+    return _p3_rows(t.rows(), mask_of(t.vertices), t.root)
 
 
 def _odd_spanning_rows(rows: Sequence[int], within: int) -> list[int]:

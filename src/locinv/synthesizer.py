@@ -90,10 +90,6 @@ class CertifiedWord:
             )
 
     @property
-    def length(self) -> int:
-        return len(self.word)
-
-    @property
     def reduced(self) -> Word:
         return reduce_word(self.word)
 
@@ -225,12 +221,8 @@ def _check_induced_tree(g: Graph, t: RootedTree) -> None:
     for u in vs:
         g._check_vertex(u)
     tmask = mask_of(vs)
-    tree_row = dict.fromkeys(vs, 0)
-    for u, v in t.edges:
-        tree_row[u] |= 1 << v
-        tree_row[v] |= 1 << u
-    for u in vs:
-        diff = ((g.rows[u] & tmask) ^ tree_row[u]) & ~((2 << u) - 1)
+    for u, row in sorted(t.rows().items()):
+        diff = ((g.rows[u] & tmask) ^ row) & ~((2 << u) - 1)
         if diff:
             v = (diff & -diff).bit_length() - 1
             raise ValueError(f"tree is not induced in the host graph at pair ({u}, {v})")
@@ -288,10 +280,9 @@ def reverse_odd_tree(g: Graph, t: RootedTree, r: int, anchor: Anchor = "end") ->
     _check_induced_tree(g, t)
     if k % 2 == 1:
         raise ValueError(f"need an even vertex count >= 2, got {k}")
-    tree = mask_of(t.vertices)
-    if not all((g.rows[u] & tree).bit_count() & 1 for u in t.vertices):
+    if not t.is_odd_tree():
         raise ValueError("every tree vertex must have odd degree")
-    word = _odd_tree_word(g.rows, tree, r, anchor)
+    word = _odd_tree_word(g.rows, mask_of(t.vertices), r, anchor)
     return CertifiedWord(word, frozenset(t.vertices), 4 * k - 4, f"odd-tree/{anchor}")
 
 
@@ -437,7 +428,9 @@ def _flip_set_word(rows: Sequence[int], s: int) -> Word:
     Vertices isolated in the induced subgraph are flipped singly, except
     that two such vertices sharing a common neighbor pair up into one
     8-letter path-ends gadget whenever that is cheaper than two single
-    flips.
+    flips: the lowest pending vertex pairs with the first later one that
+    shares a neighbor, and the gadget is centred on their lowest common
+    neighbor.
     """
     parts: list[int] = []
     isolates = 0
@@ -462,32 +455,26 @@ def _flip_set_word(rows: Sequence[int], s: int) -> Word:
                 parts.extend(gadget_p3_ends(*iter_bits(comp ^ (1 << center)), center))
                 parts.extend(_single_flip_word(rows, center)[0])
 
-    costly: list[tuple[int, Word]] = []
+    costly: dict[int, Word] = {}
     for u in iter_bits(isolates):
         word, _ = _single_flip_word(rows, u)
         if len(word) < 4:
             parts.extend(word)
         else:
-            costly.append((u, word))
+            costly[u] = word
     # pair the expensive singles through a common neighbor: 8 letters beat 14
-    remaining = costly
-    while remaining:
-        u, u_word = remaining[0]
-        rest = remaining[1:]
-        mate = None
-        for idx, (v, _) in enumerate(rest):
+    pending = mask_of(costly)
+    while pending:
+        u = (pending & -pending).bit_length() - 1
+        pending ^= 1 << u
+        for v in iter_bits(pending):
             common = rows[u] & rows[v]
             if common:
-                c = (common & -common).bit_length() - 1
-                mate = (idx, v, c)
+                pending ^= 1 << v
+                parts.extend(gadget_p3_ends(u, v, (common & -common).bit_length() - 1))
                 break
-        if mate is None:
-            parts.extend(u_word)
-            remaining = rest
         else:
-            idx, v, c = mate
-            parts.extend(gadget_p3_ends(u, v, c))
-            remaining = rest[:idx] + rest[idx + 1 :]
+            parts.extend(costly[u])
     return tuple(parts)
 
 

@@ -104,9 +104,18 @@ def induced_subgraph(g: Graph, s) -> tuple[Graph, tuple[int, ...]]:
     return Graph.from_edges(len(ids), edges), ids
 
 
+def tree_adjacency(t: RootedTree) -> dict[int, set[int]]:
+    """Neighbour sets of the vertices of ``t``, read off its edge tuple."""
+    adj: dict[int, set[int]] = {v: set() for v in t.vertices}
+    for u, v in t.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def tree_depths(t: RootedTree) -> dict[int, int]:
     """Distance of every vertex of ``t`` from its root."""
-    adj = t.adjacency()
+    adj = tree_adjacency(t)
     depth = {t.root: 0}
     queue = deque([t.root])
     while queue:
@@ -326,9 +335,10 @@ def p3_partition_reference(t: RootedTree) -> EdgePartition:
     return the same partition.
     """
     n = len(t.vertices)
-    assert n >= 2 and n % 2 == 0 and t.is_odd_tree(), "reference needs an even odd tree"
+    adj = tree_adjacency(t)
+    assert n >= 2 and n % 2 == 0, "reference needs an even vertex count"
+    assert all(len(nb) % 2 == 1 for nb in adj.values()), "reference needs an odd tree"
     depth = tree_depths(t)
-    adj = t.adjacency()
     triples = []
     while len(adj) > 2:
         leaves = {x for x, nb in adj.items() if len(nb) == 1}

@@ -306,6 +306,26 @@ def test_transform_command(p3_file, capsys):
     assert "verification: ok" in out
 
 
+def test_minus_leading_colors_in_the_space_form(tmp_path, capsys):
+    # a value of "--" is argparse's end-of-options marker; both option
+    # forms must still hand it over as the colors
+    path = tmp_path / "k2.txt"
+    path.write_text("n 2\n0 1\n")
+    outs = []
+    for command, rest, opt in (("transform", ["--from", "++"], "--to"), ("apply", ["--word", "0"], "--colors")):
+        argv = [command, "-i", str(path), *rest]
+        assert main([*argv, opt, "--"]) == 0
+        outs.append(capsys.readouterr().out)
+        assert main([*argv, f"{opt}=--"]) == 0
+        assert capsys.readouterr().out == outs[-1]
+    assert "word: 0,1\n" in outs[0]
+    assert outs[1].endswith("colors: -+\n")  # the inversion at 0 negates vertex 1 only
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", "-i", str(path), "--from", "++", "--to"])
+    assert exc.value.code == 2
+    assert "--to: expected one argument" in capsys.readouterr().err
+
+
 def test_transform_verify_rejects_a_word_for_another_target(p3_file, capsys, monkeypatch):
     # a true certificate for the wrong flip set: the replay check passes, the
     # target check must not

@@ -40,6 +40,8 @@ def test_rooted_tree_validation():
         RootedTree(frozenset({0, 1}), ((0, 1),), 2)  # root outside
     with pytest.raises(ValueError):
         RootedTree(frozenset({0, 1, 2, 3}), ((0, 1), (2, 3), (0, 1)), 0)  # disconnected
+    with pytest.raises(ValueError, match=r"edge \(0, 5\) leaves the vertex set"):
+        RootedTree(frozenset({0, 1}), ((0, 5),), 0)
 
 
 def test_odd_tree_flag():
