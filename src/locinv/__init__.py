@@ -37,17 +37,12 @@ from .partitioner import (
 )
 from .synthesizer import (
     CertifiedWord,
-    base_case_word,
     color_reversal_word,
     complete_word,
-    flip_single,
     gadget_edge,
     gadget_p3_end,
     gadget_p3_ends,
     gadget_triangle,
-    reverse_even_subgraph,
-    reverse_odd_subgraph,
-    reverse_odd_tree,
     star_word,
     transform_word,
     verify_certificate,

@@ -19,6 +19,7 @@ color).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -306,17 +307,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="locinv",
         description="Color reversal of bicolored graphs by local inversions.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # only full option names: a prefix such as --t would slip past
+    # _shield_color_values and reach argparse with a bare color value
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("reverse", help="synthesize a whole-graph color reversal word")
+    p = add_parser("reverse", help="synthesize a whole-graph color reversal word")
     p.add_argument("-i", "--input", required=True, help="edge-list file")
     p.add_argument("--reduce", action="store_true", help="print the freely reduced word")
     p.add_argument("--verify", action="store_true", help="check the word by exact replay")
     p.add_argument("--labels", help="comma-separated vertex names for word output")
     p.set_defaults(func=_cmd_reverse)
 
-    p = sub.add_parser("transform", help="synthesize a word turning one coloring into another")
+    p = add_parser("transform", help="synthesize a word turning one coloring into another")
     p.add_argument("-i", "--input", required=True, help="edge-list file")
     p.add_argument("--from", dest="from_colors", required=True, metavar="COLORS")
     p.add_argument("--to", dest="to_colors", required=True, metavar="COLORS")
@@ -325,24 +330,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels")
     p.set_defaults(func=_cmd_transform)
 
-    p = sub.add_parser("apply", help="apply a word to a bicolored graph")
+    p = add_parser("apply", help="apply a word to a bicolored graph")
     p.add_argument("-i", "--input", required=True, help="edge-list file")
     p.add_argument("--colors", required=True)
     p.add_argument("--word", required=True, help="comma-separated vertex ids")
     p.set_defaults(func=_cmd_apply)
 
-    p = sub.add_parser("exact", help="exact color reversal number by exhaustive search")
+    p = add_parser("exact", help="exact color reversal number by exhaustive search")
     p.add_argument("-i", "--input", required=True, help="edge-list file")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP, help=f"vertex cap for the search, at most {MAX_CAP}")
     p.set_defaults(func=_cmd_exact)
 
-    p = sub.add_parser("survey", help="exact reports for all small connected graphs")
+    p = add_parser("survey", help="exact reports for all small connected graphs")
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     p.add_argument("--graph6", help="read graphs from a graph6 file instead of enumerating")
     p.add_argument("--jobs", type=int, default=1, help="worker processes, at most the CPU count")
     p.set_defaults(func=_cmd_survey)
 
-    p = sub.add_parser("gadget", help="print a raw gadget word")
+    p = add_parser("gadget", help="print a raw gadget word")
     p.add_argument("kind", choices=["edge", "triangle", "p3ends", "p3end", "star", "complete"])
     p.add_argument("args", nargs="*", help="vertex ids, or the vertex count for star/complete")
     p.add_argument("--labels")

@@ -30,16 +30,16 @@ split (:func:`locinv.graph_core.component_masks`) down to the gadgets:
 ``_base_word``, ``_odd_tree_word``, ``_even_subgraph_word``,
 ``_odd_subgraph_word``, ``_reverse_component_word``, ``_flip_set_word``
 and ``_transform_component``.  The cores trust their inputs and call each
-other directly.  The public wrappers (:func:`reverse_odd_tree`,
-:func:`reverse_even_subgraph`, :func:`reverse_odd_subgraph`, ...)
-validate their arguments once and call a core.  A ``frozenset`` is built
-only for the public :attr:`CertifiedWord.target_flip`.
+other directly.  The public entry points are
+:func:`color_reversal_word`, :func:`transform_word`, :func:`star_word`,
+:func:`complete_word`, the gadgets and :func:`verify_certificate`.  A
+``frozenset`` is built only for the public :attr:`CertifiedWord.target_flip`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 from .errors import BoundExceededError, UnsatisfiableError, VerificationError
 from .graph_core import (
@@ -48,7 +48,6 @@ from .graph_core import (
     Word,
     apply_word,  # noqa: F401  module attribute wrapped by bench/tracer.py
     component_masks,
-    is_connected,
     iter_bits,
     mask_of,
     reachable_mask,
@@ -56,7 +55,6 @@ from .graph_core import (
     replay,
 )
 from .partitioner import (  # noqa: F401  p3_partition, perfect_forest: wrapped by bench/tracer.py
-    RootedTree,
     _forest_masks,
     _p3_rows,
     p3_partition,
@@ -120,26 +118,18 @@ def gadget_p3_end(a: int, b: int, c: int) -> Word:
 # -- small whole-graph base cases ----------------------------------------
 
 
-def _base_word(rows: Sequence[int], comp: int) -> tuple[Word, str]:
-    """Reversal word and tag for a connected piece on the 2- or 3-vertex mask ``comp``: K2, K3 or P3."""
+def _base_word(rows: Sequence[int], comp: int) -> Word:
+    """Reversal word for a connected piece on the 2- or 3-vertex mask ``comp``: K2, K3 or P3."""
     vs = tuple(iter_bits(comp))
     if len(vs) == 2:
-        return vs, "base/k2"
+        return vs
     inner_deg2 = [v for v in vs if (rows[v] & comp).bit_count() == 2]
     if len(inner_deg2) == 3:
         p, q, r = vs
-        return (p, q, p, q, p, q, r, p, r), "base/k3"
+        return (p, q, p, q, p, q, r, p, r)
     b = inner_deg2[0]
     a, c = iter_bits(comp ^ (1 << b))
-    return (a, b, a, b, a, c, a, c, b), "base/p3"
-
-
-def base_case_word(g: Graph) -> CertifiedWord:
-    """Color-reversal word for a graph that is exactly K2, K3, or P3."""
-    if (g.n, g.edge_count()) not in ((2, 1), (3, 2), (3, 3)):
-        raise ValueError("graph is not K2, K3, or P3")
-    word, tag = _base_word(g.rows, (1 << g.n) - 1)
-    return CertifiedWord(word, frozenset(range(g.n)), len(word), tag)
+    return (a, b, a, b, a, c, a, c, b)
 
 
 # -- single-vertex flips --------------------------------------------------
@@ -152,8 +142,8 @@ def _vertex_gadget(rows: Sequence[int], a: int, allowed: int) -> tuple[Word, str
     smallest b, then smallest c > b); failing that, an induced path a-c-b
     with ab a non-edge gives ``gadget_p3_end(a, b, c)`` (kind ``"p3-end"``,
     smallest b, then smallest c).  None if neither lies inside the mask.
-    This is the one search behind :func:`flip_single`,
-    :func:`_single_flip_word` and :func:`_odd_subgraph_word`.
+    This is the one search behind :func:`_single_flip_word` and
+    :func:`_odd_subgraph_word`.
     """
     row_a = rows[a]
     nb = row_a & allowed
@@ -168,69 +158,40 @@ def _vertex_gadget(rows: Sequence[int], a: int, allowed: int) -> tuple[Word, str
     return None
 
 
-def _single_flip_word(rows: Sequence[int], a: int) -> tuple[Word, str]:
+def _pendant_neighbor(rows: Sequence[int], a: int) -> int | None:
+    """Smallest neighbor x of a with degree 1: inverting at x flips exactly {a}."""
+    return next((x for x in iter_bits(rows[a]) if rows[x].bit_count() == 1), None)
+
+
+def _single_flip_word(rows: Sequence[int], a: int) -> Word:
     """Word flipping exactly {a}, using only a's component.
 
-    Preference order: a pendant neighbor x gives the one-letter word (x),
-    since inverting at x flips exactly its unique neighbor; otherwise a
-    triangle or an induced-path gadget gives seven letters.  One of the
-    three always applies once a has any neighbor.
+    Preference order: a pendant neighbor x gives the one-letter word (x);
+    otherwise a triangle or an induced-path gadget gives seven letters.
+    One of the three always applies once a has any neighbor; a star
+    center takes the pendant word, which is the shortest possible.
     """
-    nb = rows[a]
-    if nb == 0:
+    if rows[a] == 0:
         raise UnsatisfiableError(f"vertex {a} is isolated; its color is invariant")
-    for x in iter_bits(nb):
-        if rows[x].bit_count() == 1:
-            return (x,), "single/pendant-neighbor"
+    x = _pendant_neighbor(rows, a)
+    if x is not None:
+        return (x,)
     found = _vertex_gadget(rows, a, (1 << len(rows)) - 1)
     assert found is not None, "a non-pendant neighborhood yields a triangle or an induced path"
-    word, kind = found
-    return word, f"single/{kind}"
-
-
-def flip_single(g: Graph, a: int) -> CertifiedWord:
-    """Word flipping exactly {a} in a connected graph on at least 3 vertices.
-
-    Strategy: a triangle through ``a`` gives seven letters; failing that, an
-    induced path ending at ``a`` gives seven letters; the only remaining
-    shape is a star centered at ``a``, handled by an edge gadget to one leaf
-    followed by a path-end gadget between two leaves (13 letters, recorded
-    as the certificate bound).
-    """
-    g._check_vertex(a)
-    if g.n < 3:
-        raise ValueError(f"need at least 3 vertices, got {g.n}")
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
-    found = _vertex_gadget(g.rows, a, (1 << g.n) - 1)
-    if found is not None:
-        word, kind = found
-        return CertifiedWord(word, frozenset({a}), 7, f"single/{kind}")
-    # no triangle and no induced-path end means every neighbor of a is
-    # pendant, i.e. the graph is a star centered at a
-    x, y = sorted(iter_bits(g.rows[a]))[:2]
-    word = gadget_edge(a, x) + gadget_p3_end(x, y, a)
-    return CertifiedWord(word, frozenset({a}), 13, "single/star-center")
+    return found[0]
 
 
 # -- induced odd trees and subgraphs --------------------------------------
 
 
-def _check_induced_tree(g: Graph, t: RootedTree) -> None:
-    vs = sorted(t.vertices)
-    for u in vs:
-        g._check_vertex(u)
-    tmask = mask_of(vs)
-    for u, row in sorted(t.rows().items()):
-        diff = ((g.rows[u] & tmask) ^ row) & ~((2 << u) - 1)
-        if diff:
-            v = (diff & -diff).bit_length() - 1
-            raise ValueError(f"tree is not induced in the host graph at pair ({u}, {v})")
-
-
 def _odd_tree_word(rows: Sequence[int], tree: int, r: int, anchor: Anchor) -> Word:
-    """Reversal word of the induced odd tree on the vertex mask ``tree`` (see :func:`reverse_odd_tree`).
+    """Reversal word of the induced odd tree on the vertex mask ``tree``, anchored at ``r``.
 
+    The word has length exactly 4k-4 for a k-vertex tree (k even, at least
+    4) and ends (``anchor="end"``) or starts (``anchor="start"``) with
+    ``r``.  It is assembled from the tree's path partition: an 8-letter
+    path-ends gadget per triple, except that the triple meeting the root
+    edge merges with the edge gadget into a single 12-letter block.
     ``rows`` are the host graph's rows; the tree is induced, so its edges
     are ``rows[x] & tree``.
     """
@@ -261,43 +222,15 @@ def _odd_tree_word(rows: Sequence[int], tree: int, r: int, anchor: Anchor) -> Wo
     return word
 
 
-def reverse_odd_tree(g: Graph, t: RootedTree, r: int, anchor: Anchor = "end") -> CertifiedWord:
-    """Flip all vertices of an induced odd tree, anchored at ``r``.
-
-    The word has length exactly 4k-4 for a k-vertex tree and ends
-    (``anchor="end"``) or starts (``anchor="start"``) with ``r``.  It is
-    assembled from the tree's path partition: an 8-letter path-ends gadget
-    per triple, except that the triple meeting the root edge merges with
-    the edge gadget into a single 12-letter block.
-    """
-    if r not in t.vertices:
-        raise ValueError(f"anchor vertex {r} is not in the tree")
-    if anchor not in ("end", "start"):
-        raise ValueError(f"anchor must be 'end' or 'start', got {anchor!r}")
-    k = len(t.vertices)
-    if k < 4:
-        raise ValueError(f"need at least 4 tree vertices, got {k}")
-    _check_induced_tree(g, t)
-    if k % 2 == 1:
-        raise ValueError(f"need an even vertex count >= 2, got {k}")
-    if not t.is_odd_tree():
-        raise ValueError("every tree vertex must have odd degree")
-    word = _odd_tree_word(g.rows, mask_of(t.vertices), r, anchor)
-    return CertifiedWord(word, frozenset(t.vertices), 4 * k - 4, f"odd-tree/{anchor}")
-
-
-def _connected_mask(g: Graph, s: frozenset[int]) -> int:
-    """Mask of ``s``, after checking that it lies in ``g`` and induces a connected subgraph."""
-    for u in sorted(s):
-        g._check_vertex(u)
-    within = mask_of(s)
-    if len(component_masks(g.rows, within)) != 1:
-        raise ValueError("induced subgraph must be connected")
-    return within
-
-
 def _even_subgraph_word(rows: Sequence[int], within: int, v: int, anchor: Anchor) -> Word:
-    """Reversal word of the subgraph induced by the mask ``within`` (see :func:`reverse_even_subgraph`)."""
+    """Reversal word of the connected subgraph induced by the mask ``within``, anchored at ``v``.
+
+    ``within`` has even order at least 4.  The perfect forest of the
+    subgraph gives an edge gadget per two-vertex tree and an anchored
+    odd-tree reversal per larger tree; the tree containing ``v`` goes last
+    (or first) so the whole word ends (or starts) with ``v``.  Total length
+    is at most 4k-4 for k vertices.
+    """
     trees = _forest_masks(rows, within)
     anchor_tree = next(tree for tree in trees if (tree >> v) & 1)
     others = [tree for tree in trees if tree != anchor_tree]
@@ -319,28 +252,14 @@ def _even_subgraph_word(rows: Sequence[int], within: int, v: int, anchor: Anchor
     return tuple(parts)
 
 
-def reverse_even_subgraph(
-    g: Graph, s: Iterable[int], v: int, anchor: Anchor = "end"
-) -> CertifiedWord:
-    """Flip a connected induced subgraph of even order >= 4, anchored at ``v``.
+def _odd_subgraph_word(rows: Sequence[int], within: int) -> Word:
+    """Reversal word of the connected subgraph induced by the odd mask ``within``, k >= 5 vertices.
 
-    Decomposes the subgraph into a perfect forest and emits an edge gadget
-    per two-vertex tree and an anchored odd-tree reversal per larger tree;
-    the tree containing ``v`` goes last (or first) so the whole word ends
-    (or starts) with ``v``.  Total length is at most 4|s|-4.  The forest
-    and every tree are worked on ``g.rows`` restricted to vertex masks.
+    Peels off the smallest vertex ``a`` whose removal keeps the subgraph
+    connected, flips it with a triangle or induced-path gadget, and flips
+    the even remainder with an anchored reversal; the shared anchor letter
+    cancels, saving two letters, so the word stays within 4k-3 letters.
     """
-    s = frozenset(s)
-    if v not in s:
-        raise ValueError(f"anchor vertex {v} is not in the subgraph")
-    if len(s) < 4 or len(s) % 2 == 1:
-        raise ValueError(f"need an even vertex count >= 4, got {len(s)}")
-    word = _even_subgraph_word(g.rows, _connected_mask(g, s), v, anchor)
-    return CertifiedWord(word, s, 4 * len(s) - 4, f"even-subgraph/{anchor}")
-
-
-def _odd_subgraph_word(rows: Sequence[int], within: int) -> tuple[Word, str]:
-    """Reversal word and tag of the subgraph induced by the mask ``within`` (see :func:`reverse_odd_subgraph`)."""
     for a in iter_bits(within):
         rest = within ^ (1 << a)
         # connected when one search reaches all of it; splitting every
@@ -354,26 +273,11 @@ def _odd_subgraph_word(rows: Sequence[int], within: int) -> tuple[Word, str]:
         c = w1[-1]  # gadget_triangle(a, b, c) ends with c
         w2 = _even_subgraph_word(rows, rest, c, "start")
         assert w2[0] == c, "splice needs the shared anchor letter"
-        return w1[:-1] + w2[1:], "odd-subgraph/triangle"
+        return w1[:-1] + w2[1:]
     c = w1[0]  # gadget_p3_end(a, b, c) starts with c
     w2 = _even_subgraph_word(rows, rest, c, "end")
     assert w2[-1] == c, "splice needs the shared anchor letter"
-    return w2[:-1] + w1[1:], "odd-subgraph/p3"
-
-
-def reverse_odd_subgraph(g: Graph, s: Iterable[int]) -> CertifiedWord:
-    """Flip a connected induced subgraph of odd order >= 5 within 4|s|-3 letters.
-
-    Peels off the smallest vertex ``a`` whose removal keeps the subgraph
-    connected, flips it with a triangle or induced-path gadget, and flips
-    the even remainder with an anchored reversal; the shared anchor letter
-    cancels, saving two letters.
-    """
-    s = frozenset(s)
-    if len(s) < 5 or len(s) % 2 == 0:
-        raise ValueError(f"need an odd vertex count >= 5, got {len(s)}")
-    word, tag = _odd_subgraph_word(g.rows, _connected_mask(g, s))
-    return CertifiedWord(word, s, 4 * len(s) - 3, tag)
+    return w2[:-1] + w1[1:]
 
 
 # -- whole-graph color reversal -------------------------------------------
@@ -383,10 +287,10 @@ def _reverse_component_word(rows: Sequence[int], comp: int) -> Word:
     """Reversal word of the connected piece on the mask ``comp``, of order >= 2."""
     m = comp.bit_count()
     if m in (2, 3):
-        return _base_word(rows, comp)[0]
+        return _base_word(rows, comp)
     if m % 2 == 0:
         return _even_subgraph_word(rows, comp, (comp & -comp).bit_length() - 1, "end")
-    return _odd_subgraph_word(rows, comp)[0]
+    return _odd_subgraph_word(rows, comp)
 
 
 def color_reversal_word(g: Graph) -> CertifiedWord:
@@ -425,12 +329,12 @@ def _flip_set_word(rows: Sequence[int], s: int) -> Word:
     those that are whole components of the graph, get their reversal word.
     Smaller ones are flipped with the edge gadget (2 vertices) or gadget
     compositions that stay valid inside the ambient graph (3 vertices).
-    Vertices isolated in the induced subgraph are flipped singly, except
-    that two such vertices sharing a common neighbor pair up into one
-    8-letter path-ends gadget whenever that is cheaper than two single
-    flips: the lowest pending vertex pairs with the first later one that
-    shares a neighbor, and the gadget is centred on their lowest common
-    neighbor.
+    A vertex isolated in the induced subgraph takes the one-letter word of
+    a pendant neighbor when it has one.  The others are pending: two that
+    share a neighbor pair up into one 8-letter path-ends gadget, cheaper
+    than two 7-letter single flips (the lowest pending vertex pairs with
+    the first later one that shares a neighbor, and the gadget is centred
+    on their lowest common neighbor), and the rest are flipped singly.
     """
     parts: list[int] = []
     isolates = 0
@@ -453,17 +357,16 @@ def _flip_set_word(rows: Sequence[int], s: int) -> Word:
             else:
                 center = inner_deg2[0]
                 parts.extend(gadget_p3_ends(*iter_bits(comp ^ (1 << center)), center))
-                parts.extend(_single_flip_word(rows, center)[0])
+                parts.extend(_single_flip_word(rows, center))
 
-    costly: dict[int, Word] = {}
+    pending = 0
     for u in iter_bits(isolates):
-        word, _ = _single_flip_word(rows, u)
-        if len(word) < 4:
-            parts.extend(word)
+        x = _pendant_neighbor(rows, u)
+        if x is None:
+            pending |= 1 << u
         else:
-            costly[u] = word
-    # pair the expensive singles through a common neighbor: 8 letters beat 14
-    pending = mask_of(costly)
+            parts.append(x)
+    # pair the 7-letter singles through a common neighbor: 8 letters beat 14
     while pending:
         u = (pending & -pending).bit_length() - 1
         pending ^= 1 << u
@@ -474,7 +377,7 @@ def _flip_set_word(rows: Sequence[int], s: int) -> Word:
                 parts.extend(gadget_p3_ends(u, v, (common & -common).bit_length() - 1))
                 break
         else:
-            parts.extend(costly[u])
+            parts.extend(_single_flip_word(rows, u))
     return tuple(parts)
 
 

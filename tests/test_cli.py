@@ -326,6 +326,26 @@ def test_minus_leading_colors_in_the_space_form(tmp_path, capsys):
     assert "--to: expected one argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform", "--from", "++", "--t=--"],
+        ["apply", "--colo=--", "--word", "0"],
+        ["transform", "--fr", "++", "--to", "--"],
+    ],
+)
+def test_abbreviated_options_are_usage_errors(tmp_path, capsys, argv):
+    # only full option names are accepted: a prefix of a color option
+    # would bypass the shield and hand argparse a bare "--" value
+    path = tmp_path / "k2.txt"
+    path.write_text("n 2\n0 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "-i", str(path), *argv[1:]])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "usage: locinv " in err
+
+
 def test_transform_verify_rejects_a_word_for_another_target(p3_file, capsys, monkeypatch):
     # a true certificate for the wrong flip set: the replay check passes, the
     # target check must not

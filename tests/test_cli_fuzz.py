@@ -208,7 +208,8 @@ def test_survey_graph6_never_raises(graph_path, lines, max_n):
     argv=st.lists(
         st.sampled_from(
             ["reverse", "transform", "apply", "exact", "survey", "gadget", "-i", "--from",
-             "--to", "--colors", "--word", "--verify", "--max-n", "--cap", "--", "---", "+-", "3"]
+             "--to", "--colors", "--word", "--verify", "--max-n", "--cap", "--", "---", "+-", "3",
+             "--t", "--t=--", "--colo=--", "--fr"]
         ),
         max_size=6,
     )

@@ -20,20 +20,14 @@ from locinv.graph_core import (
     flip,
     reduce_word,
 )
-from locinv.partitioner import RootedTree
 from locinv.synthesizer import (
     CertifiedWord,
-    base_case_word,
     color_reversal_word,
     complete_word,
-    flip_single,
     gadget_edge,
     gadget_p3_end,
     gadget_p3_ends,
     gadget_triangle,
-    reverse_even_subgraph,
-    reverse_odd_subgraph,
-    reverse_odd_tree,
     star_word,
     transform_word,
     verify_certificate,
@@ -47,6 +41,11 @@ def petersen() -> Graph:
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return Graph.from_edges(10, outer + spokes + inner)
+
+
+def certify(g, word, target, bound):
+    """Certify that ``word`` flips exactly ``target`` on ``g`` within ``bound`` letters."""
+    verify_certificate(g, CertifiedWord(word, frozenset(target), bound, "test"))
 
 
 def assert_flips_exactly(g, word, target, rng, rounds=4):
@@ -131,56 +130,53 @@ def test_p3_gadgets_compose_by_symmetric_difference():
 
 
 def test_base_case_words():
-    k2 = base_case_word(Graph.complete(2))
-    assert k2.word == (0, 1) and k2.bound == 2
+    k2 = Graph.complete(2)
+    assert synth._base_word(k2.rows, 0b11) == (0, 1)
+    certify(k2, (0, 1), range(2), 2)
 
-    k3 = base_case_word(Graph.complete(3))
-    assert k3.word == (0, 1, 0, 1, 0, 1, 2, 0, 2) and k3.bound == 9
-    verify_certificate(Graph.complete(3), k3)
+    k3 = Graph.complete(3)
+    word = synth._base_word(k3.rows, 0b111)
+    assert word == (0, 1, 0, 1, 0, 1, 2, 0, 2)
+    certify(k3, word, range(3), 9)
 
-    p3 = base_case_word(Graph.path(3))
-    assert p3.word == (0, 1, 0, 1, 0, 2, 0, 2, 1) and p3.bound == 9
-    verify_certificate(Graph.path(3), p3)
+    p3 = Graph.path(3)
+    word = synth._base_word(p3.rows, 0b111)
+    assert word == (0, 1, 0, 1, 0, 2, 0, 2, 1)
+    certify(p3, word, range(3), 9)
 
     # degree-2 vertex is the middle letter regardless of labeling
-    p3b = base_case_word(Graph.from_edges(3, [(0, 2), (1, 2)]))
-    assert p3b.word == (0, 2, 0, 2, 0, 1, 0, 1, 2)
-    verify_certificate(Graph.from_edges(3, [(0, 2), (1, 2)]), p3b)
-
-    with pytest.raises(ValueError):
-        base_case_word(Graph.path(4))
+    p3b = Graph.from_edges(3, [(0, 2), (1, 2)])
+    word = synth._base_word(p3b.rows, 0b111)
+    assert word == (0, 2, 0, 2, 0, 1, 0, 1, 2)
+    certify(p3b, word, range(3), 9)
 
 
 # -- single-vertex flips -----------------------------------------------------------
 
 
 def test_flip_single_on_triangle_and_path():
-    cw = flip_single(Graph.complete(4), 0)
-    assert len(cw.word) == 7 and cw.construction == "single/triangle"
-    verify_certificate(Graph.complete(4), cw)
+    k4 = Graph.complete(4)
+    word = synth._single_flip_word(k4.rows, 0)
+    assert word == gadget_triangle(0, 1, 2)
+    certify(k4, word, {0}, 7)
 
-    cw = flip_single(Graph.path(4), 0)
-    assert len(cw.word) == 7 and cw.construction == "single/p3-end"
-    verify_certificate(Graph.path(4), cw)
-
-
-def test_flip_single_star_center_fallback():
-    for n in (3, 4, 6):
-        g = Graph.star(n)
-        cw = flip_single(g, 0)
-        assert cw.construction == "single/star-center"
-        assert len(cw.word) == 13 and cw.bound == 13
-        verify_certificate(g, cw)
+    p4 = Graph.path(4)
+    word = synth._single_flip_word(p4.rows, 0)
+    assert word == gadget_p3_end(0, 2, 1)
+    certify(p4, word, {0}, 7)
 
 
 def test_flip_single_star_center_oracle_minimum():
-    # exhaustive search shows the true minimum is a single inversion at a
-    # leaf, far below the 13-letter constructive fallback
+    # a star center has only pendant neighbors: inverting at the smallest
+    # leaf flips it alone, which exhaustive search shows is shortest
     from locinv.oracle import min_flip_word
 
     g = Graph.star(3)
+    word = synth._single_flip_word(g.rows, 0)
+    assert word == (1,)
     b = BicoloredGraph(g, all_plus(3))
-    assert min_flip_word(b, flip(b, {0})) == (1, (1,))
+    assert min_flip_word(b, flip(b, {0})) == (1, word)
+    certify(g, word, {0}, 1)
 
 
 def test_vertex_gadget_takes_the_first_triangle_then_the_first_induced_path():
@@ -209,11 +205,20 @@ def test_vertex_gadget_takes_the_first_triangle_then_the_first_induced_path():
             assert synth._vertex_gadget(g.rows, a, allowed) == expected
 
 
-def test_flip_single_preconditions():
-    with pytest.raises(ValueError):
-        flip_single(Graph.complete(2), 0)
-    with pytest.raises(ValueError):
-        flip_single(Graph.from_edges(4, [(0, 1), (2, 3)]), 0)
+def test_paired_isolates_build_no_single_flip_word(monkeypatch):
+    # 0 and 2 share the neighbor 1 on C6, so they pair into one path-ends
+    # gadget and no single-vertex gadget is searched for either of them
+    calls = []
+    real = synth._vertex_gadget
+
+    def counting(rows, a, allowed):
+        calls.append(a)
+        return real(rows, a, allowed)
+
+    monkeypatch.setattr(synth, "_vertex_gadget", counting)
+    c6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+    assert synth._flip_set_word(c6.rows, 0b101) == gadget_p3_ends(0, 2, 1)
+    assert calls == []
 
 
 # -- odd-tree reversal ---------------------------------------------------------------
@@ -221,22 +226,20 @@ def test_flip_single_preconditions():
 
 def test_reverse_star_as_tree_anchored():
     g = Graph.star(4)
-    t = RootedTree(frozenset(range(4)), tuple(g.edges()), 1)
     for anchor, pos in (("end", -1), ("start", 0)):
-        cw = reverse_odd_tree(g, t, 1, anchor)
-        assert len(cw.word) == 4 * 4 - 4
-        assert cw.word[pos] == 1
-        verify_certificate(g, cw)
+        word = synth._odd_tree_word(g.rows, 0b1111, 1, anchor)
+        assert len(word) == 4 * 4 - 4
+        assert word[pos] == 1
+        certify(g, word, range(4), 12)
 
 
 def test_reverse_six_vertex_tree_fixture():
     edges = ((0, 1), (0, 2), (0, 3), (3, 4), (3, 5))
     g = Graph.from_edges(6, edges)
-    t = RootedTree(frozenset(range(6)), edges, 0)
-    cw = reverse_odd_tree(g, t, 0, "end")
-    assert len(cw.word) == 4 * 6 - 4 == 20
-    assert cw.word[-1] == 0
-    verify_certificate(g, cw)
+    word = synth._odd_tree_word(g.rows, 0b111111, 0, "end")
+    assert len(word) == 4 * 6 - 4 == 20
+    assert word[-1] == 0
+    certify(g, word, range(6), 20)
 
 
 def test_reverse_odd_tree_random_roots_and_hosts():
@@ -247,30 +250,18 @@ def test_reverse_odd_tree_random_roots_and_hosts():
         g = Graph.from_edges(n, t.edges)
         r = rng.randrange(n)
         anchor = rng.choice(("end", "start"))
-        cw = reverse_odd_tree(g, t, r, anchor)
-        assert len(cw.word) == 4 * n - 4
-        assert (cw.word[-1] if anchor == "end" else cw.word[0]) == r
-        verify_certificate(g, cw)
+        word = synth._odd_tree_word(g.rows, (1 << n) - 1, r, anchor)
+        assert len(word) == 4 * n - 4
+        assert (word[-1] if anchor == "end" else word[0]) == r
+        certify(g, word, range(n), 4 * n - 4)
 
 
 def test_reverse_odd_tree_embedded_in_larger_graph():
     # star on {0,1,2,3} induced inside a 6-vertex host
     g = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (4, 5), (2, 5)])
-    t = RootedTree(frozenset({0, 1, 2, 3}), ((0, 1), (0, 2), (0, 3)), 2)
-    cw = reverse_odd_tree(g, t, 2, "end")
-    verify_certificate(g, cw)
-
-
-def test_reverse_odd_tree_rejects_non_induced():
-    # the error names the first offending pair: smallest u, then smallest v > u
-    star = RootedTree(frozenset(range(4)), ((0, 1), (0, 2), (0, 3)), 0)
-    with pytest.raises(ValueError, match=r"at pair \(1, 2\)"):
-        reverse_odd_tree(Graph.complete(4), star, 0)  # graph edge missing from the tree
-    with pytest.raises(ValueError, match=r"at pair \(0, 2\)"):
-        reverse_odd_tree(Graph.path(4), star, 0)  # tree edge missing from the graph
-    outside = RootedTree(frozenset({0, 1, 2, 4}), ((0, 1), (0, 2), (0, 4)), 0)
-    with pytest.raises(ValueError, match=r"vertex 4 outside 0\.\.3"):
-        reverse_odd_tree(Graph.complete(4), outside, 0)
+    word = synth._odd_tree_word(g.rows, 0b1111, 2, "end")
+    assert len(word) == 4 * 4 - 4 and word[-1] == 2
+    certify(g, word, {0, 1, 2, 3}, 12)
 
 
 # -- even and odd subgraph reversal -----------------------------------------------------
@@ -278,34 +269,33 @@ def test_reverse_odd_tree_rejects_non_induced():
 
 def test_reverse_even_subgraph_p4_and_k4():
     p4 = Graph.path(4)
-    cw = reverse_even_subgraph(p4, range(4), 3, "end")
-    assert cw.word == gadget_edge(0, 1) + gadget_edge(2, 3)
-    verify_certificate(p4, cw)
+    word = synth._even_subgraph_word(p4.rows, 0b1111, 3, "end")
+    assert word == gadget_edge(0, 1) + gadget_edge(2, 3)
+    certify(p4, word, range(4), 12)
 
-    cw = reverse_even_subgraph(p4, range(4), 0, "start")
-    assert cw.word == gadget_edge(0, 1) + gadget_edge(2, 3)
-    verify_certificate(p4, cw)
+    word = synth._even_subgraph_word(p4.rows, 0b1111, 0, "start")
+    assert word == gadget_edge(0, 1) + gadget_edge(2, 3)
+    certify(p4, word, range(4), 12)
 
     k4 = Graph.complete(4)
-    cw = reverse_even_subgraph(k4, range(4), 0, "end")
-    assert len(cw.word) <= 12 and cw.word[-1] == 0
-    verify_certificate(k4, cw)
+    word = synth._even_subgraph_word(k4.rows, 0b1111, 0, "end")
+    assert len(word) <= 12 and word[-1] == 0
+    certify(k4, word, range(4), 12)
 
 
 def test_reverse_even_subgraph_single_tree_is_exact():
     g = Graph.star(4)
-    cw = reverse_even_subgraph(g, range(4), 2, "start")
-    assert len(cw.word) == 4 * 4 - 4
-    assert cw.word[0] == 2
-    verify_certificate(g, cw)
+    word = synth._even_subgraph_word(g.rows, 0b1111, 2, "start")
+    assert len(word) == 4 * 4 - 4
+    assert word[0] == 2
+    certify(g, word, range(4), 12)
 
 
 def test_reverse_even_subgraph_proper_subset():
-    rng = random.Random(67)
     c6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
-    cw = reverse_even_subgraph(c6, {0, 1, 2, 3}, 0, "end")
-    assert cw.word[-1] == 0
-    verify_certificate(c6, cw)
+    word = synth._even_subgraph_word(c6.rows, 0b1111, 0, "end")
+    assert word[-1] == 0
+    certify(c6, word, {0, 1, 2, 3}, 12)
 
 
 def test_reverse_even_subgraph_random():
@@ -315,30 +305,36 @@ def test_reverse_even_subgraph_random():
         g = random_connected_graph(rng, n)
         v = rng.randrange(n)
         anchor = rng.choice(("end", "start"))
-        cw = reverse_even_subgraph(g, range(n), v, anchor)
-        assert len(cw.word) <= 4 * n - 4
-        assert (cw.word[-1] if anchor == "end" else cw.word[0]) == v
-        verify_certificate(g, cw)
+        word = synth._even_subgraph_word(g.rows, (1 << n) - 1, v, anchor)
+        assert len(word) <= 4 * n - 4
+        assert (word[-1] if anchor == "end" else word[0]) == v
+        certify(g, word, range(n), 4 * n - 4)
 
 
 def test_reverse_odd_subgraph_c5_and_k5():
+    # vertex 0 is peeled: on C5 it ends an induced path, whose gadget
+    # closes the word; on K5 it lies on a triangle, whose gadget opens it
     c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-    cw = reverse_odd_subgraph(c5, range(5))
-    assert len(cw.word) <= 17 and cw.construction == "odd-subgraph/p3"
-    verify_certificate(c5, cw)
+    gadget, kind = synth._vertex_gadget(c5.rows, 0, 0b11111)
+    word = synth._odd_subgraph_word(c5.rows, 0b11111)
+    assert kind == "p3-end" and word[-6:] == gadget[1:]
+    assert len(word) <= 17
+    certify(c5, word, range(5), 17)
 
     k5 = Graph.complete(5)
-    cw = reverse_odd_subgraph(k5, range(5))
-    assert len(cw.word) <= 17 and cw.construction == "odd-subgraph/triangle"
-    verify_certificate(k5, cw)
+    gadget, kind = synth._vertex_gadget(k5.rows, 0, 0b11111)
+    word = synth._odd_subgraph_word(k5.rows, 0b11111)
+    assert kind == "triangle" and word[:6] == gadget[:-1]
+    assert len(word) <= 17
+    certify(k5, word, range(5), 17)
 
 
 def test_reverse_odd_subgraph_cancellation_length():
     # seven gadget letters plus the even-part word, minus the cancelled pair
     c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-    cw = reverse_odd_subgraph(c5, range(5))
-    even_part = reverse_even_subgraph(c5, {1, 2, 3, 4}, 1, "end")
-    assert len(cw.word) == 7 + len(even_part.word) - 2
+    word = synth._odd_subgraph_word(c5.rows, 0b11111)
+    even_part = synth._even_subgraph_word(c5.rows, 0b11110, 1, "end")
+    assert len(word) == 7 + len(even_part) - 2
 
 
 def test_reverse_odd_subgraph_random():
@@ -346,24 +342,9 @@ def test_reverse_odd_subgraph_random():
     for _ in range(40):
         n = rng.choice(range(5, 14, 2))
         g = random_connected_graph(rng, n)
-        cw = reverse_odd_subgraph(g, range(n))
-        assert len(cw.word) <= 4 * n - 3
-        verify_certificate(g, cw)
-
-
-def test_subgraph_reversal_preconditions():
-    with pytest.raises(ValueError):
-        reverse_even_subgraph(Graph.path(5), range(5), 0)
-    with pytest.raises(ValueError):
-        reverse_odd_subgraph(Graph.path(4), range(4))
-    c6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
-    with pytest.raises(ValueError):
-        reverse_even_subgraph(c6, {0, 1, 3, 4}, 0)  # disconnected induced
-    for bad in (7, -1):  # a vertex outside the graph is named, not indexed
-        with pytest.raises(ValueError, match=f"vertex {bad} outside 0..5"):
-            reverse_even_subgraph(c6, {0, 1, 2, bad}, 0)
-        with pytest.raises(ValueError, match=f"vertex {bad} outside 0..5"):
-            reverse_odd_subgraph(c6, {0, 1, 2, 3, bad})
+        word = synth._odd_subgraph_word(g.rows, (1 << n) - 1)
+        assert len(word) <= 4 * n - 3
+        certify(g, word, range(n), 4 * n - 3)
 
 
 # -- whole-graph reversal -------------------------------------------------------------------
