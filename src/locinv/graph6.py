@@ -1,8 +1,9 @@
 """The graph6 text encoding for graphs with at most 62 vertices.
 
-Single-byte order only: byte 0 is 63 + n, and each following byte carries
-six upper-triangle adjacency bits (pair order x01, x02, x12, x03, ...,
-most significant bit first) offset by 63.  Padding bits must be zero.
+Single-byte order only: byte 0 is 63 + n, and byte k + 1 is 63 plus bits
+``[6k, 6k + 6)`` of the packed upper triangle (:meth:`Graph.upper_bits`,
+pair order x01, x02, x12, x03, ...) reversed, first pair most significant.
+Padding bits must be zero.
 """
 
 from __future__ import annotations
@@ -11,6 +12,9 @@ from .errors import Graph6Error
 from .graph_core import Graph
 
 MAX_N = 62
+
+# entry g: the six bits of g in reverse order; the table is its own inverse
+_REVERSED = tuple(int(f"{g:06b}"[::-1], 2) for g in range(64))
 
 
 def parse_graph6(line: str) -> Graph:
@@ -34,13 +38,9 @@ def parse_graph6(line: str) -> Graph:
         )
     bits = 0
     for k, ch in enumerate(text[1:]):
-        group = ord(ch) - 63
-        for b in range(6):
-            pos = 6 * k + (5 - b)
-            if (group >> b) & 1:
-                if pos >= nbits:
-                    raise Graph6Error("nonzero padding bit", offset=k + 1)
-                bits |= 1 << pos
+        bits |= _REVERSED[ord(ch) - 63] << 6 * k
+    if bits >> nbits:  # only the last byte reaches past the pairs
+        raise Graph6Error("nonzero padding bit", offset=len(text) - 1)
     return Graph.from_upper_bits(n, bits)
 
 
@@ -49,13 +49,5 @@ def emit_graph6(g: Graph) -> str:
     if g.n > MAX_N:
         raise ValueError(f"vertex count {g.n} exceeds single-byte limit {MAX_N}")
     bits = g.upper_bits()
-    nbits = g.n * (g.n - 1) // 2
-    out = [chr(63 + g.n)]
-    for k in range((nbits + 5) // 6):
-        group = 0
-        for b in range(6):
-            pos = 6 * k + b
-            if pos < nbits and (bits >> pos) & 1:
-                group |= 1 << (5 - b)
-        out.append(chr(63 + group))
-    return "".join(out)
+    groups = range((g.n * (g.n - 1) // 2 + 5) // 6)
+    return chr(63 + g.n) + "".join(chr(63 + _REVERSED[(bits >> 6 * k) & 63]) for k in groups)

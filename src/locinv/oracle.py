@@ -18,19 +18,19 @@ the radius of the orbit: 12,225 states for the 7-vertex path (orbit
 7-cycle.  :data:`MAX_STATES` bounds the states of any one search.
 
 The survey enumerates one graph per isomorphism class by vertex
-augmentation (:func:`connected_graphs`): the 853 connected classes on 7
-vertices take well under a second, and the survey of all 995 classes
-up to 7 vertices runs in under a minute on one core.  The default cap is
-7 vertices, and no cap lifts a search above :data:`MAX_CAP` vertices: the
-move table alone has 2^n entries.
+augmentation (:func:`connected_graphs`) and searches on those
+:class:`Graph` values: the 853 connected classes on 7 vertices take well
+under a second, and the survey of all 995 classes up to 7 vertices runs
+in under a minute on one core; only ``jobs > 1`` loads a process pool.
+The default cap is 7 vertices, and no cap lifts a search above
+:data:`MAX_CAP` vertices: the move table alone has 2^n entries.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, UnsatisfiableError
@@ -43,7 +43,7 @@ from .graph_core import (
     iter_bits,
     upper_rows,
 )
-from .graph6 import emit_graph6
+from .graph6 import emit_graph6, parse_graph6
 from .synthesizer import color_reversal_word
 
 DEFAULT_CAP = 7
@@ -350,13 +350,6 @@ def connected_graphs(n: int) -> Iterator[Graph]:
 # -- survey -------------------------------------------------------------------
 
 
-def _survey_one(args: tuple[str, int]) -> CrReport:
-    from .graph6 import parse_graph6
-
-    line, cap = args
-    return exact_cr(parse_graph6(line), cap=cap)
-
-
 def survey(
     n_max: int,
     *,
@@ -368,27 +361,27 @@ def survey(
 
     Graphs come from ``graph6_lines`` when given (filtered to at most
     ``n_max`` vertices) and from internal isomorphism-free enumeration
-    otherwise.  Workers share nothing; results keep input order, so the
-    output is deterministic for fixed inputs.  ``jobs`` is capped at the
-    CPU count, since more workers than cores only add processes.
+    otherwise, and reach :func:`exact_cr` as :class:`Graph` values.
+    Workers share nothing; results keep input order, so the output is
+    deterministic for fixed inputs.  ``jobs`` is capped at the CPU count,
+    since more workers than cores only add processes; the process pool
+    is imported only when ``jobs > 1``.
     """
     limit = min(cap, MAX_CAP)
     if n_max > limit:
         raise CapExceededError(f"n_max {n_max} exceeds the search cap {limit}")
     if graph6_lines is not None:
-        from .graph6 import parse_graph6
-
-        ids = [line for line in graph6_lines if parse_graph6(line).n <= n_max]
+        graphs = [g for g in map(parse_graph6, graph6_lines) if g.n <= n_max]
     else:
-        ids = [
-            emit_graph6(g) for n in range(2, n_max + 1) for g in connected_graphs(n)
-        ]
-    tasks = [(line, cap) for line in ids]
+        graphs = [g for n in range(2, n_max + 1) for g in connected_graphs(n)]
+    one = partial(exact_cr, cap=cap)
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
-        return [_survey_one(t) for t in tasks]
+        return list(map(one, graphs))
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_survey_one, tasks))
+        return list(pool.map(one, graphs))
 
 
 @dataclass(frozen=True, slots=True)

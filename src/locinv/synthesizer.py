@@ -135,26 +135,26 @@ def _base_word(rows: Sequence[int], comp: int) -> Word:
 # -- single-vertex flips --------------------------------------------------
 
 
-def _vertex_gadget(rows: Sequence[int], a: int, allowed: int) -> tuple[Word, str] | None:
-    """Seven-letter word flipping exactly {a} inside the mask ``allowed``, and its kind.
+def _vertex_gadget(rows: Sequence[int], a: int, allowed: int) -> Word | None:
+    """Seven-letter word flipping exactly {a} inside the mask ``allowed``.
 
-    A triangle abc gives ``gadget_triangle(a, b, c)`` (kind ``"triangle"``,
-    smallest b, then smallest c > b); failing that, an induced path a-c-b
-    with ab a non-edge gives ``gadget_p3_end(a, b, c)`` (kind ``"p3-end"``,
-    smallest b, then smallest c).  None if neither lies inside the mask.
-    This is the one search behind :func:`_single_flip_word` and
-    :func:`_odd_subgraph_word`.
+    A triangle abc gives ``gadget_triangle(a, b, c)`` (smallest b, then
+    smallest c > b); failing that, an induced path a-c-b with ab a non-edge
+    gives ``gadget_p3_end(a, b, c)`` (smallest b, then smallest c).  None if
+    neither lies inside the mask.  The word's first letter gives its shape:
+    a triangle word starts with a, a path word with c.  This is the one
+    search behind :func:`_single_flip_word` and :func:`_odd_subgraph_word`.
     """
     row_a = rows[a]
     nb = row_a & allowed
     for b in iter_bits(nb):
         third = rows[b] & nb & ~((2 << b) - 1)
         if third:
-            return gadget_triangle(a, b, (third & -third).bit_length() - 1), "triangle"
+            return gadget_triangle(a, b, (third & -third).bit_length() - 1)
     for b in iter_bits(allowed & ~row_a & ~(1 << a)):
         common = rows[b] & nb
         if common:
-            return gadget_p3_end(a, b, (common & -common).bit_length() - 1), "p3-end"
+            return gadget_p3_end(a, b, (common & -common).bit_length() - 1)
     return None
 
 
@@ -176,9 +176,9 @@ def _single_flip_word(rows: Sequence[int], a: int) -> Word:
     x = _pendant_neighbor(rows, a)
     if x is not None:
         return (x,)
-    found = _vertex_gadget(rows, a, (1 << len(rows)) - 1)
-    assert found is not None, "a non-pendant neighborhood yields a triangle or an induced path"
-    return found[0]
+    word = _vertex_gadget(rows, a, (1 << len(rows)) - 1)
+    assert word is not None, "a non-pendant neighborhood yields a triangle or an induced path"
+    return word
 
 
 # -- induced odd trees and subgraphs --------------------------------------
@@ -266,10 +266,9 @@ def _odd_subgraph_word(rows: Sequence[int], within: int) -> Word:
         # component of a cut would cost up to twice as much per candidate
         if reachable_mask(rows, (rest & -rest).bit_length() - 1, rest) == rest:
             break
-    found = _vertex_gadget(rows, a, within)
-    assert found is not None, "a non-cut vertex off every triangle ends an induced path"
-    w1, kind = found
-    if kind == "triangle":
+    w1 = _vertex_gadget(rows, a, within)
+    assert w1 is not None, "a non-cut vertex off every triangle ends an induced path"
+    if w1[0] == a:
         c = w1[-1]  # gadget_triangle(a, b, c) ends with c
         w2 = _even_subgraph_word(rows, rest, c, "start")
         assert w2[0] == c, "splice needs the shared anchor letter"

@@ -91,8 +91,31 @@ def test_graph6_errors_carry_offset():
         parse_graph6("A" + chr(63 + 0b010000))  # nonzero padding bit
     assert exc.value.offset == 1
 
+    with pytest.raises(Graph6Error, match="nonzero padding bit") as exc:
+        parse_graph6("D?@")  # n = 5: the second byte holds pairs 6..9 and 2 padding bits
+    assert exc.value.offset == 2
+
     with pytest.raises(Graph6Error):
         parse_graph6("")
+
+
+def test_graph6_codec_matches_networkx():
+    # both directions against an independent codec: every labeled graph
+    # with n <= 5 (1,100 graphs), then 300 seeded random graphs up to 62
+    nx = pytest.importorskip("networkx")
+
+    rng = random.Random(62)
+    graphs = [Graph.from_upper_bits(n, bits) for n in range(6) for bits in range(1 << n * (n - 1) // 2)]
+    assert len(graphs) == 1100
+    graphs += [random_graph(rng, rng.randint(0, 62), rng.random()) for _ in range(300)]
+    for g in graphs:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        line = nx.to_graph6_bytes(h, header=False).decode().rstrip("\n")
+        assert emit_graph6(g) == line
+        back = nx.from_graph6_bytes(line.encode())
+        assert parse_graph6(line) == Graph.from_edges(back.number_of_nodes(), back.edges())
 
 
 # -- edge lists and colors --------------------------------------------------------
@@ -416,6 +439,22 @@ codes.append(main(["reverse", "-i", path, "--verify"]))
 codes.append(main(["transform", "-i", path, "--from=++++", "--to=-+++", "--verify"]))
 print(codes)
 """
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only survey --jobs N with N > 1 needs a pool; every other command
+    # starts without concurrent.futures or multiprocessing
+    src = os.path.dirname(os.path.dirname(os.path.abspath(locinv.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, locinv.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout == "[]\n"
 
 
 def test_a_false_certificate_is_reported_under_optimize_flag(tmp_path):

@@ -438,6 +438,18 @@ def test_survey_parallel_matches_serial():
     assert serial == parallel
 
 
+def test_survey_parallel_on_graph6_input_matches_serial():
+    # the graph6 branch hands parsed Graph values to the workers; C5 is
+    # above n_max and is filtered out before any search
+    from locinv.graph6 import emit_graph6
+
+    c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    lines = [emit_graph6(g) for g in (Graph.path(4), Graph.complete(3), c5, Graph.star(4))]
+    serial = survey(4, graph6_lines=lines)
+    assert [r.graph_id for r in serial] == [lines[0], lines[1], lines[3]]
+    assert survey(4, graph6_lines=lines, jobs=2) == serial
+
+
 @pytest.mark.parametrize("cpus, asked, pool_size", [(3, 1000, 3), (3, 2, 2), (None, 8, None)])
 def test_survey_caps_jobs_at_cpu_count(monkeypatch, cpus, asked, pool_size):
     import locinv.oracle as oracle
@@ -459,7 +471,7 @@ def test_survey_caps_jobs_at_cpu_count(monkeypatch, cpus, asked, pool_size):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
     assert survey(3, jobs=asked) == survey(3)
     assert sizes == ([] if pool_size is None else [pool_size])

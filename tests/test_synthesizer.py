@@ -197,9 +197,9 @@ def test_vertex_gadget_takes_the_first_triangle_then_the_first_induced_path():
                 if b != a and not g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
             ]
             if triangles:
-                expected = (gadget_triangle(a, *min(triangles)), "triangle")
+                expected = gadget_triangle(a, *min(triangles))
             elif paths:
-                expected = (gadget_p3_end(a, *min(paths)), "p3-end")
+                expected = gadget_p3_end(a, *min(paths))
             else:
                 expected = None
             assert synth._vertex_gadget(g.rows, a, allowed) == expected
@@ -315,16 +315,16 @@ def test_reverse_odd_subgraph_c5_and_k5():
     # vertex 0 is peeled: on C5 it ends an induced path, whose gadget
     # closes the word; on K5 it lies on a triangle, whose gadget opens it
     c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-    gadget, kind = synth._vertex_gadget(c5.rows, 0, 0b11111)
+    gadget = synth._vertex_gadget(c5.rows, 0, 0b11111)
     word = synth._odd_subgraph_word(c5.rows, 0b11111)
-    assert kind == "p3-end" and word[-6:] == gadget[1:]
+    assert gadget == gadget_p3_end(0, 2, 1) and word[-6:] == gadget[1:]
     assert len(word) <= 17
     certify(c5, word, range(5), 17)
 
     k5 = Graph.complete(5)
-    gadget, kind = synth._vertex_gadget(k5.rows, 0, 0b11111)
+    gadget = synth._vertex_gadget(k5.rows, 0, 0b11111)
     word = synth._odd_subgraph_word(k5.rows, 0b11111)
-    assert kind == "triangle" and word[:6] == gadget[:-1]
+    assert gadget == gadget_triangle(0, 1, 2) and word[:6] == gadget[:-1]
     assert len(word) <= 17
     certify(k5, word, range(5), 17)
 
