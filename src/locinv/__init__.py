@@ -20,9 +20,7 @@ from .graph_core import (
     Word,
     all_plus,
     apply_word,
-    components,
     flip,
-    is_connected,
     local_complement,
     local_inversion,
     reduce_word,
@@ -30,7 +28,6 @@ from .graph_core import (
 )
 from .partitioner import (
     EdgePartition,
-    PerfectForest,
     RootedTree,
     p3_partition,
     perfect_forest,

@@ -1,7 +1,8 @@
-"""Command-line interface and flat file formats.
+"""Command-line interface and the edge-list and color formats.
 
 Graphs travel as edge-list documents (header ``n <count>``, one ``u v``
-line per edge) or graph6 lines; colorings as +/- tokens, position i being
+line per edge), or as graph6 lines for ``survey --graph6`` (decoded by
+:mod:`locinv.graph6`); colorings as +/- tokens, position i being
 vertex i.  Reports are JSON: ``exact`` prints one cr-report object,
 ``survey`` prints one cr-report per line followed by a summary line.
 
@@ -32,7 +33,6 @@ from .errors import (
     VerificationError,
 )
 from .graph_core import BicoloredGraph, Coloring, Graph, apply_word, mask_of
-from .graph6 import emit_graph6, parse_graph6  # re-exported format codec
 from .oracle import DEFAULT_CAP, MAX_CAP, CrReport, exact_cr, summarize, survey
 from .synthesizer import (
     CertifiedWord,
@@ -48,14 +48,11 @@ from .synthesizer import (
 )
 
 __all__ = [
-    "parse_graph6",
-    "emit_graph6",
     "parse_edge_list",
     "emit_edge_list",
     "parse_colors",
     "format_colors",
     "main",
-    "entry",
 ]
 
 REPORT_SCHEMA = "cr-report/1"
@@ -392,8 +389,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     shielded, raw = _shield_color_values(argv)
     args = parser.parse_args(shielded)
     for dest, value in raw.items():
-        if hasattr(args, dest):
-            setattr(args, dest, value)
+        setattr(args, dest, value)
     try:
         return args.func(args)
     except UnsatisfiableError as exc:
@@ -410,7 +406,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, Graph6Error, CapExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def entry() -> int:
-    return main()

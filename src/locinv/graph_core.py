@@ -150,10 +150,6 @@ class Graph:
         self._check_vertex(v)
         return bool((self.rows[u] >> v) & 1)
 
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.rows[v].bit_count()
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
         return tuple(iter_bits(self.rows[v]))
@@ -166,9 +162,6 @@ class Graph:
             for d in iter_bits(row):
                 out.append((u, u + 1 + d))
         return out
-
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.rows) // 2
 
     def upper_bits(self) -> int:
         """Inverse of :meth:`from_upper_bits`."""
@@ -203,13 +196,6 @@ def reachable_mask(rows: Sequence[int], start: int, within: int) -> int:
     return seen
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    full = (1 << g.n) - 1
-    return reachable_mask(g.rows, 0, full) == full
-
-
 def component_masks(rows: Sequence[int], within: int) -> list[int]:
     """Connected components of the subgraph of ``rows`` induced by the mask ``within``.
 
@@ -221,11 +207,6 @@ def component_masks(rows: Sequence[int], within: int) -> list[int]:
         out.append(comp)
         within &= ~comp
     return out
-
-
-def components(g: Graph) -> list[frozenset[int]]:
-    """Connected components, sorted by smallest member."""
-    return [frozenset(iter_bits(c)) for c in component_masks(g.rows, (1 << g.n) - 1)]
 
 
 # -- coloring and bicolored graphs ------------------------------------

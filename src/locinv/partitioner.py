@@ -93,17 +93,6 @@ class EdgePartition:
     k2: Edge
 
 
-@dataclass(frozen=True, slots=True)
-class PerfectForest:
-    """Vertex-disjoint induced odd trees covering the whole graph.
-
-    ``trees`` holds one sorted edge tuple per tree, ordered by smallest
-    vertex.
-    """
-
-    trees: tuple[tuple[Edge, ...], ...]
-
-
 def _p3_rows(rows: Sequence[int], tree: int, root: int) -> EdgePartition:
     """P3 partition of the odd tree on the vertex mask ``tree``, rooted at ``root``.
 
@@ -270,7 +259,7 @@ def _forest_masks(rows: Sequence[int], within: int) -> list[int]:
     return done
 
 
-def perfect_forest(g: Graph) -> PerfectForest:
+def perfect_forest(g: Graph) -> tuple[tuple[Edge, ...], ...]:
     """Spanning forest of induced odd trees of a connected even-order graph.
 
     The trees of :func:`_forest_masks` on all of ``g``, as sorted edge
@@ -279,9 +268,7 @@ def perfect_forest(g: Graph) -> PerfectForest:
     forest fails its postcondition.
     """
     rows = g.rows
-    return PerfectForest(
-        tuple(
-            tuple((u, v) for u in iter_bits(comp) for v in iter_bits(rows[u] & comp & ~((2 << u) - 1)))
-            for comp in _forest_masks(rows, (1 << g.n) - 1)
-        )
+    return tuple(
+        tuple((u, v) for u in iter_bits(comp) for v in iter_bits(rows[u] & comp & ~((2 << u) - 1)))
+        for comp in _forest_masks(rows, (1 << g.n) - 1)
     )

@@ -6,12 +6,15 @@ calling the code under test, so they can serve as oracles.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
 from collections import deque
 from itertools import permutations, product
 
+from locinv.cli import main
 from locinv.graph_core import BicoloredGraph, Graph, iter_bits, reachable_mask, upper_rows
-from locinv.partitioner import EdgePartition, PerfectForest, RootedTree
+from locinv.partitioner import Edge, EdgePartition, RootedTree
 
 
 # -- random instances ----------------------------------------------------
@@ -229,7 +232,7 @@ def connected_graphs_reference(n: int):
             yield Graph(n, tuple(rows))
 
 
-def perfect_forest_reference(g: Graph) -> PerfectForest:
+def perfect_forest_reference(g: Graph) -> tuple[tuple[Edge, ...], ...]:
     """Edge-set perfect forest, the construction before bitmask rows.
 
     Grows a BFS tree from vertex 0 on dict adjacency, keeps a vertex's
@@ -323,7 +326,7 @@ def perfect_forest_reference(g: Graph) -> PerfectForest:
     for comp, _ in forest_components():
         cs = set(comp)
         trees.append(tuple(sorted(e for e in fset if e[0] in cs)))
-    return PerfectForest(tuple(trees))
+    return tuple(trees)
 
 
 def p3_partition_reference(t: RootedTree) -> EdgePartition:
@@ -445,10 +448,10 @@ def check_p3_partition(t: RootedTree, part: EdgePartition) -> None:
     assert all(c == 1 for c in end_count.values()), "each vertex ends exactly one piece"
 
 
-def check_perfect_forest(g: Graph, forest: PerfectForest) -> None:
+def check_perfect_forest(g: Graph, forest: tuple[tuple[Edge, ...], ...]) -> None:
     """Validate spanning, disjoint, induced, odd, treeness from definitions."""
     seen: set[int] = set()
-    for tree in forest.trees:
+    for tree in forest:
         vs = {v for e in tree for v in e}
         assert not (vs & seen), "trees must be vertex-disjoint"
         seen |= vs
@@ -481,3 +484,22 @@ def check_perfect_forest(g: Graph, forest: PerfectForest) -> None:
             for v in ordered[i + 1 :]:
                 assert g.has_edge(u, v) == ((u, v) in set(tree)), "tree must be induced"
     assert seen == set(range(g.n)), "forest must span all vertices"
+
+
+def cli_help_text() -> str:
+    """``locinv --help`` and each subcommand's ``--help``, each under its command line.
+
+    argparse wraps to the ``COLUMNS`` environment variable; ``data/help.txt``
+    is rendered with ``COLUMNS=80``.  Regenerate it (only when a change of
+    help text is intended and stated) with ``COLUMNS=80 PYTHONPATH=src:tests
+    python -c 'import helpers; print(helpers.cli_help_text(), end="")' >
+    tests/data/help.txt``.
+    """
+    parts = []
+    for cmd in ([], ["reverse"], ["transform"], ["apply"], ["exact"], ["survey"], ["gadget"]):
+        argv = [*cmd, "--help"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):
+            main(argv)
+        parts.append(f"$ locinv {' '.join(argv)}\n{out.getvalue()}")
+    return "\n".join(parts)

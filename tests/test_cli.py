@@ -21,15 +21,14 @@ from locinv.cli import (
     MAX_CAP,
     MAX_VERTICES,
     emit_edge_list,
-    emit_graph6,
     format_colors,
     main,
     parse_colors,
     parse_edge_list,
-    parse_graph6,
 )
+from locinv.graph6 import emit_graph6, parse_graph6
 
-from helpers import random_graph
+from helpers import cli_help_text, random_graph
 
 
 # -- graph6 -----------------------------------------------------------------
@@ -469,6 +468,92 @@ def test_a_false_certificate_is_reported_under_optimize_flag(tmp_path):
     )
     assert out.stdout == "[False, 1, 1]\n"
     assert out.stderr == P4_FAILURES["reverse"] + P4_FAILURES["transform"]
+
+
+# -- a word over its bound on the command line ---------------------------------------
+
+# P3 with a reversal word built twice over (18 letters, bound 9) and a
+# transform word built four times over (24 letters, bound 15); the second
+# line of each is the witness, as JSON
+P3_BOUND_VIOLATIONS = {
+    "reverse": (
+        "bound violation: full-reversal: word of length 18 exceeds bound 9\n"
+        '{"witness": {"word": [0, 1, 0, 1, 0, 2, 0, 2, 1, 0, 1, 0, 1, 0, 2, 0, 2, 1], "bound": 9}}\n'
+    ),
+    "transform": (
+        "bound violation: transform word of length 24 exceeds bound 15\n"
+        '{"witness": {"n": 3, "edges": [[0, 1], [1, 2]], "from": [1, 1, 1], "to": [1, -1, -1], '
+        '"word": [1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2]}}\n'
+    ),
+}
+P3_COLORS = {"reverse": [], "transform": ["--from=+++", "--to=+--"]}
+
+
+def _repeat_words(monkeypatch):
+    """Make the reversal builder emit its word twice and the transform builder four times."""
+    reverse, transform = synth._reverse_component_word, synth._transform_component
+
+    def transform_long(g, comp, diff):
+        word, tag = transform(g, comp, diff)
+        return word * 4, tag
+
+    monkeypatch.setattr(synth, "_reverse_component_word", lambda g, comp: reverse(g, comp) * 2)
+    monkeypatch.setattr(synth, "_transform_component", transform_long)
+
+
+@pytest.mark.parametrize("command", ["reverse", "transform"])
+def test_a_word_over_its_bound_exits_1_with_a_witness(p3_file, capsys, monkeypatch, command):
+    _repeat_words(monkeypatch)
+    assert main([command, "-i", p3_file, *P3_COLORS[command]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == P3_BOUND_VIOLATIONS[command]
+
+
+_LONG_BUILDERS_UNDER_O = """
+import sys
+
+import locinv.synthesizer as synth
+from locinv.cli import main
+
+reverse, transform = synth._reverse_component_word, synth._transform_component
+synth._reverse_component_word = lambda g, comp: reverse(g, comp) * 2
+synth._transform_component = lambda g, comp, diff: (
+    transform(g, comp, diff)[0] * 4, transform(g, comp, diff)[1]
+)
+path = sys.argv[1]
+codes = [__debug__]
+codes.append(main(["reverse", "-i", path]))
+codes.append(main(["transform", "-i", path, "--from=+++", "--to=+--"]))
+print(codes)
+"""
+
+
+def test_a_word_over_its_bound_is_reported_under_optimize_flag(p3_file):
+    # the bound checks are not assert statements
+    src = os.path.dirname(os.path.dirname(os.path.abspath(locinv.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _LONG_BUILDERS_UNDER_O, p3_file],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout == "[False, 1, 1]\n"
+    assert out.stderr == P3_BOUND_VIOLATIONS["reverse"] + P3_BOUND_VIOLATIONS["transform"]
+
+
+# -- help text ---------------------------------------------------------------------
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 13),
+    reason="from 3.13 argparse prints '-i, --input INPUT' for '-i INPUT, --input INPUT'",
+)
+def test_help_text_matches_the_pinned_file(monkeypatch):
+    # argparse wraps to COLUMNS; the pinned file is rendered 80 columns wide
+    monkeypatch.setenv("COLUMNS", "80")
+    with open(os.path.join(os.path.dirname(__file__), "data", "help.txt"), encoding="utf-8") as fh:
+        assert cli_help_text() == fh.read()
 
 
 @pytest.mark.parametrize("verify", [False, True])

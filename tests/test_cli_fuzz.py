@@ -15,7 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import locinv.synthesizer as synth
-from locinv.cli import emit_graph6, main
+from locinv.cli import main
+from locinv.graph6 import emit_graph6
 from locinv.graph_core import Graph
 
 FUZZ = settings(

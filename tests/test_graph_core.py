@@ -12,9 +12,7 @@ from locinv.graph_core import (
     all_plus,
     apply_word,
     component_masks,
-    components,
     flip,
-    is_connected,
     iter_bits,
     local_complement,
     local_inversion,
@@ -122,7 +120,7 @@ def test_local_complement_low_degree_is_identity():
     for _ in range(30):
         g = random_graph(rng, rng.randint(1, 8))
         for a in range(g.n):
-            if g.degree(a) <= 1:
+            if g.rows[a].bit_count() <= 1:
                 assert local_complement(g, a) == g
 
 
@@ -378,10 +376,10 @@ def test_replay_leaves_its_input_alone_and_checks_letters():
 @given(colored_graphs(min_n=1, max_n=6), st.data())
 def test_isolated_vertex_is_conserved(b, data):
     w = data.draw(words(b.graph.n))
-    isolated = [v for v in range(b.graph.n) if b.graph.degree(v) == 0]
+    isolated = [v for v in range(b.graph.n) if b.graph.rows[v] == 0]
     after = apply_word(b, w)
     for v in isolated:
-        assert after.graph.degree(v) == 0
+        assert after.graph.rows[v] == 0
         assert after.coloring[v] == b.coloring[v]
 
 
@@ -390,15 +388,13 @@ def test_isolated_vertex_is_conserved(b, data):
 
 def test_components_and_connectivity():
     g = Graph.from_edges(6, [(0, 1), (2, 3), (3, 4)])
-    assert components(g) == [frozenset({0, 1}), frozenset({2, 3, 4}), frozenset({5})]
     assert component_masks(g.rows, 0b111111) == [0b11, 0b11100, 0b100000]
     # inside a mask: dropping vertex 3 splits {2, 3, 4}
     assert component_masks(g.rows, 0b110111) == [0b11, 0b100, 0b10000, 0b100000]
     assert component_masks(g.rows, 0) == []
-    assert not is_connected(g)
-    assert is_connected(Graph.path(5))
-    assert is_connected(Graph(0, ()))
-    assert is_connected(Graph(1, (0,)))
+    assert component_masks(Graph.path(5).rows, 0b11111) == [0b11111]
+    assert component_masks(Graph(0, ()).rows, 0) == []
+    assert component_masks(Graph(1, (0,)).rows, 0b1) == [0b1]
 
 
 # -- rows built without validation ----------------------------------------------

@@ -204,13 +204,13 @@ def test_spanning_subgraph_preconditions():
 
 def test_perfect_forest_k2():
     forest = perfect_forest(Graph.complete(2))
-    assert forest.trees == (((0, 1),),)
+    assert forest == (((0, 1),),)
 
 
 def test_perfect_forest_k4_is_a_matching():
     forest = perfect_forest(Graph.complete(4))
-    assert len(forest.trees) == 2
-    assert all(len(tree) == 1 for tree in forest.trees)
+    assert len(forest) == 2
+    assert all(len(tree) == 1 for tree in forest)
     check_perfect_forest(Graph.complete(4), forest)
     # no induced tree of K4 has more than 2 vertices: any 3 vertices
     # induce a triangle, which is not acyclic
@@ -218,18 +218,18 @@ def test_perfect_forest_k4_is_a_matching():
     for size in (3, 4):
         for vs in combinations(range(4), size):
             sub, _ = induced_subgraph(k4, vs)
-            assert sub.edge_count() > sub.n - 1
+            assert len(sub.edges()) > sub.n - 1
 
 
 def test_perfect_forest_p4():
     forest = perfect_forest(Graph.path(4))
-    assert forest.trees == (((0, 1),), ((2, 3),))
+    assert forest == (((0, 1),), ((2, 3),))
 
 
 def test_perfect_forest_of_odd_tree_is_the_tree():
     star = Graph.star(4)
     forest = perfect_forest(star)
-    assert forest.trees == (tuple(star.edges()),)
+    assert forest == (tuple(star.edges()),)
 
 
 def test_perfect_forest_random():
@@ -326,7 +326,7 @@ def test_forest_masks_on_a_vertex_mask_match_the_induced_copy():
         sub, ids = induced_subgraph(g, iter_bits(s))
         expected = [
             mask_of(ids[v] for e in tree for v in e)
-            for tree in perfect_forest_reference(sub).trees
+            for tree in perfect_forest_reference(sub)
         ]
         assert _forest_masks(g.rows, s) == expected, (g, s)
         cases += 1
