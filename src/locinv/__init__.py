@@ -50,7 +50,6 @@ from .oracle import (
     connected_graphs,
     exact_cr,
     min_flip_word,
-    pack_state,
     summarize,
     survey,
 )

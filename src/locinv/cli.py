@@ -276,7 +276,7 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
         word = star_word(_gadget_size(args)).word
     else:
         word = complete_word(_gadget_size(args)).word
-    labels = _parse_labels(args.labels, max(word) + 1) if args.labels else None
+    labels = _parse_labels(args.labels, max(word) + 1)
     print(f"word: {_render_word(word, labels)}")
     print(f"length: {len(word)}")
     return 0

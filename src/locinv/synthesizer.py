@@ -30,7 +30,10 @@ split (:func:`locinv.graph_core.component_masks`) down to the gadgets:
 ``_base_word``, ``_odd_tree_word``, ``_even_subgraph_word``,
 ``_odd_subgraph_word``, ``_reverse_component_word``, ``_flip_set_word``
 and ``_transform_component``.  The cores trust their inputs and call each
-other directly.  The public entry points are
+other directly.  An anchored word (odd tree, even subgraph) always ends
+with its anchor; the odd-subgraph splice that needs a word starting with
+the shared letter runs its triangle gadget reversed, which is the
+gadget's inverse and flips the same vertex.  The public entry points are
 :func:`color_reversal_word`, :func:`transform_word`, :func:`star_word`,
 :func:`complete_word`, the gadgets and :func:`verify_certificate`.  A
 ``frozenset`` is built only for the public :attr:`CertifiedWord.target_flip`.
@@ -39,7 +42,7 @@ other directly.  The public entry points are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 from .errors import BoundExceededError, UnsatisfiableError, VerificationError
 from .graph_core import (
@@ -60,8 +63,6 @@ from .partitioner import (  # noqa: F401  p3_partition, perfect_forest: wrapped 
     p3_partition,
     perfect_forest,
 )
-
-Anchor = Literal["end", "start"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,16 +185,17 @@ def _single_flip_word(rows: Sequence[int], a: int) -> Word:
 # -- induced odd trees and subgraphs --------------------------------------
 
 
-def _odd_tree_word(rows: Sequence[int], tree: int, r: int, anchor: Anchor) -> Word:
-    """Reversal word of the induced odd tree on the vertex mask ``tree``, anchored at ``r``.
+def _odd_tree_word(rows: Sequence[int], tree: int, r: int) -> Word:
+    """Reversal word of the induced odd tree on the vertex mask ``tree``, ending with ``r``.
 
     The word has length exactly 4k-4 for a k-vertex tree (k even, at least
-    4) and ends (``anchor="end"``) or starts (``anchor="start"``) with
-    ``r``.  It is assembled from the tree's path partition: an 8-letter
+    4).  It is assembled from the tree's path partition: an 8-letter
     path-ends gadget per triple, except that the triple meeting the root
-    edge merges with the edge gadget into a single 12-letter block.
-    ``rows`` are the host graph's rows; the tree is induced, so its edges
-    are ``rows[x] & tree``.
+    edge merges with the edge gadget into a single 12-letter block, which
+    closes the word.  ``rows`` are the host graph's rows; the tree is
+    induced, so its edges are ``rows[x] & tree``.  The word always ends
+    with ``r``; :func:`_odd_subgraph_word`, which needs a word starting
+    with its shared letter, reverses its seven-letter gadget instead.
     """
     part = _p3_rows(rows, tree, r)
     v = part.k2[1]
@@ -202,53 +204,41 @@ def _odd_tree_word(rows: Sequence[int], tree: int, r: int, anchor: Anchor) -> Wo
         # r centers some triple; merge the root edge with one of them
         x, _, y = next(tr for tr in part.p3s if tr[1] == r)
         rest = [tr for tr in part.p3s if tr != (x, r, y)]
-        block_end = (v, r, v, r, v) + (x, y, x, y, x, y, r)
-        block_start = (r, x, y, x, y, x, y) + (v, r, v, r, v)
+        block = (v, r, v, r, v) + (x, y, x, y, x, y, r)
     else:
         x, _, y = next(tr for tr in part.p3s if tr[1] == v)
         rest = [tr for tr in part.p3s if tr != (x, v, y)]
-        block_end = (v, x, y, x, y, x, y) + (r, v, r, v, r)
-        block_start = (r, v, r, v, r) + (x, y, x, y, x, y, v)
+        block = (v, x, y, x, y, x, y) + (r, v, r, v, r)
 
-    middle: list[int] = []
+    word: list[int] = []
     for end_a, center, end_b in rest:
-        middle.extend(gadget_p3_ends(end_a, end_b, center))
-
-    if anchor == "end":
-        word = tuple(middle) + block_end
-    else:
-        word = block_start + tuple(middle)
+        word.extend(gadget_p3_ends(end_a, end_b, center))
+    word.extend(block)
     assert len(word) == 4 * tree.bit_count() - 4
-    return word
+    return tuple(word)
 
 
-def _even_subgraph_word(rows: Sequence[int], within: int, v: int, anchor: Anchor) -> Word:
-    """Reversal word of the connected subgraph induced by the mask ``within``, anchored at ``v``.
+def _even_subgraph_word(rows: Sequence[int], within: int, v: int) -> Word:
+    """Reversal word of the connected subgraph induced by the mask ``within``, ending with ``v``.
 
     ``within`` has even order at least 4.  The perfect forest of the
-    subgraph gives an edge gadget per two-vertex tree and an anchored
-    odd-tree reversal per larger tree; the tree containing ``v`` goes last
-    (or first) so the whole word ends (or starts) with ``v``.  Total length
-    is at most 4k-4 for k vertices.
+    subgraph gives an edge gadget per two-vertex tree and an odd-tree
+    reversal per larger tree; the tree containing ``v`` goes last, with
+    its word ending in ``v``, the letter :func:`_odd_subgraph_word` splices
+    on.  Total length is at most 4k-4 for k vertices.
     """
-    trees = _forest_masks(rows, within)
-    anchor_tree = next(tree for tree in trees if (tree >> v) & 1)
-    others = [tree for tree in trees if tree != anchor_tree]
-    ordered = others + [anchor_tree] if anchor == "end" else [anchor_tree] + others
-
     parts: list[int] = []
-    for tree in ordered:
-        if tree != anchor_tree:
-            if tree.bit_count() == 2:
-                a, b = iter_bits(tree)
-                parts.extend(gadget_edge(a, b))
-            else:
-                parts.extend(_odd_tree_word(rows, tree, (tree & -tree).bit_length() - 1, "end"))
+    for tree in _forest_masks(rows, within):
+        if (tree >> v) & 1:
+            v_tree = tree
         elif tree.bit_count() == 2:
-            u = (tree ^ (1 << v)).bit_length() - 1
-            parts.extend(gadget_edge(v, u) if anchor == "start" else gadget_edge(u, v))
+            parts.extend(gadget_edge(*iter_bits(tree)))
         else:
-            parts.extend(_odd_tree_word(rows, tree, v, anchor))
+            parts.extend(_odd_tree_word(rows, tree, (tree & -tree).bit_length() - 1))
+    if v_tree.bit_count() == 2:
+        parts.extend(gadget_edge((v_tree ^ (1 << v)).bit_length() - 1, v))
+    else:
+        parts.extend(_odd_tree_word(rows, v_tree, v))
     return tuple(parts)
 
 
@@ -256,9 +246,13 @@ def _odd_subgraph_word(rows: Sequence[int], within: int) -> Word:
     """Reversal word of the connected subgraph induced by the odd mask ``within``, k >= 5 vertices.
 
     Peels off the smallest vertex ``a`` whose removal keeps the subgraph
-    connected, flips it with a triangle or induced-path gadget, and flips
-    the even remainder with an anchored reversal; the shared anchor letter
-    cancels, saving two letters, so the word stays within 4k-3 letters.
+    connected and flips it with a seven-letter gadget that starts with a
+    vertex ``c`` of the remainder; the even remainder's reversal word ends
+    with ``c``, so the shared letter cancels, saving two letters, and the
+    word stays within 4k-3 letters.  An induced-path gadget starts with its
+    center ``c``.  A triangle gadget ``(a, b, a, c, b, a, c)`` ends with
+    ``c``, so it runs reversed: every letter is an involution, so the
+    reversed word is its inverse and flips the same {a}.
     """
     for a in iter_bits(within):
         rest = within ^ (1 << a)
@@ -269,13 +263,10 @@ def _odd_subgraph_word(rows: Sequence[int], within: int) -> Word:
     w1 = _vertex_gadget(rows, a, within)
     assert w1 is not None, "a non-cut vertex off every triangle ends an induced path"
     if w1[0] == a:
-        c = w1[-1]  # gadget_triangle(a, b, c) ends with c
-        w2 = _even_subgraph_word(rows, rest, c, "start")
-        assert w2[0] == c, "splice needs the shared anchor letter"
-        return w1[:-1] + w2[1:]
-    c = w1[0]  # gadget_p3_end(a, b, c) starts with c
-    w2 = _even_subgraph_word(rows, rest, c, "end")
-    assert w2[-1] == c, "splice needs the shared anchor letter"
+        w1 = w1[::-1]  # the triangle word, now starting with c
+    c = w1[0]
+    w2 = _even_subgraph_word(rows, rest, c)
+    assert w2[-1] == c, "splice needs the shared letter c"
     return w2[:-1] + w1[1:]
 
 
@@ -288,7 +279,7 @@ def _reverse_component_word(rows: Sequence[int], comp: int) -> Word:
     if m in (2, 3):
         return _base_word(rows, comp)
     if m % 2 == 0:
-        return _even_subgraph_word(rows, comp, (comp & -comp).bit_length() - 1, "end")
+        return _even_subgraph_word(rows, comp, (comp & -comp).bit_length() - 1)
     return _odd_subgraph_word(rows, comp)
 
 

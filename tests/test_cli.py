@@ -697,6 +697,19 @@ def test_gadget_commands(capsys):
     assert "word: 0,1,0,1,0,1,2,0,2" in capsys.readouterr().out
 
 
+def test_gadget_labels_are_checked_like_reverse_labels(p3_file, capsys):
+    assert main(["gadget", "edge", "0", "1", "--labels", "a,b"]) == 0
+    assert "word: a,b,a,b,a,b" in capsys.readouterr().out
+
+    # an empty --labels is a wrong count of names, not an absent option
+    assert main(["reverse", "-i", p3_file, "--labels", ""]) == 1
+    assert capsys.readouterr().err == "error: --labels needs 3 comma-separated names\n"
+    assert main(["gadget", "edge", "0", "1", "--labels", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --labels needs 2 comma-separated names\n"
+
+
 def test_gadget_argument_errors(capsys):
     assert main(["gadget", "edge", "0"]) == 1
     assert main(["gadget", "edge", "0", "0"]) == 1

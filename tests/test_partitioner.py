@@ -8,6 +8,7 @@ import pytest
 import locinv.partitioner as partitioner
 from locinv.graph_core import Graph, iter_bits, mask_of, reachable_mask, upper_rows
 from locinv.partitioner import (
+    EdgePartition,
     RootedTree,
     _forest_masks,
     _odd_spanning_rows,
@@ -78,6 +79,14 @@ def test_partition_star_rooted_at_leaf_and_center():
     for root in range(4):
         t = RootedTree(frozenset(range(4)), edges, root)
         check_p3_partition(t, p3_partition(t))
+
+
+def test_partition_checker_rejects_a_reused_edge():
+    # helpers.py is registered for assertion rewriting, so its checks also
+    # fire when the suite runs under python -O
+    t = RootedTree(frozenset(range(4)), tuple(Graph.star(4).edges()), 0)
+    with pytest.raises(AssertionError):
+        check_p3_partition(t, EdgePartition(((1, 0, 2),), (0, 2)))
 
 
 def test_partition_preconditions():

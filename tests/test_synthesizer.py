@@ -227,17 +227,16 @@ def test_paired_isolates_build_no_single_flip_word(monkeypatch):
 
 def test_reverse_star_as_tree_anchored():
     g = Graph.star(4)
-    for anchor, pos in (("end", -1), ("start", 0)):
-        word = synth._odd_tree_word(g.rows, 0b1111, 1, anchor)
-        assert len(word) == 4 * 4 - 4
-        assert word[pos] == 1
-        certify(g, word, range(4), 12)
+    word = synth._odd_tree_word(g.rows, 0b1111, 1)
+    assert len(word) == 4 * 4 - 4
+    assert word[-1] == 1
+    certify(g, word, range(4), 12)
 
 
 def test_reverse_six_vertex_tree_fixture():
     edges = ((0, 1), (0, 2), (0, 3), (3, 4), (3, 5))
     g = Graph.from_edges(6, edges)
-    word = synth._odd_tree_word(g.rows, 0b111111, 0, "end")
+    word = synth._odd_tree_word(g.rows, 0b111111, 0)
     assert len(word) == 4 * 6 - 4 == 20
     assert word[-1] == 0
     certify(g, word, range(6), 20)
@@ -250,17 +249,16 @@ def test_reverse_odd_tree_random_roots_and_hosts():
         t = random_odd_tree(rng, n)
         g = Graph.from_edges(n, t.edges)
         r = rng.randrange(n)
-        anchor = rng.choice(("end", "start"))
-        word = synth._odd_tree_word(g.rows, (1 << n) - 1, r, anchor)
+        word = synth._odd_tree_word(g.rows, (1 << n) - 1, r)
         assert len(word) == 4 * n - 4
-        assert (word[-1] if anchor == "end" else word[0]) == r
+        assert word[-1] == r
         certify(g, word, range(n), 4 * n - 4)
 
 
 def test_reverse_odd_tree_embedded_in_larger_graph():
     # star on {0,1,2,3} induced inside a 6-vertex host
     g = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (4, 5), (2, 5)])
-    word = synth._odd_tree_word(g.rows, 0b1111, 2, "end")
+    word = synth._odd_tree_word(g.rows, 0b1111, 2)
     assert len(word) == 4 * 4 - 4 and word[-1] == 2
     certify(g, word, {0, 1, 2, 3}, 12)
 
@@ -270,31 +268,31 @@ def test_reverse_odd_tree_embedded_in_larger_graph():
 
 def test_reverse_even_subgraph_p4_and_k4():
     p4 = Graph.path(4)
-    word = synth._even_subgraph_word(p4.rows, 0b1111, 3, "end")
+    word = synth._even_subgraph_word(p4.rows, 0b1111, 3)
     assert word == gadget_edge(0, 1) + gadget_edge(2, 3)
     certify(p4, word, range(4), 12)
 
-    word = synth._even_subgraph_word(p4.rows, 0b1111, 0, "start")
-    assert word == gadget_edge(0, 1) + gadget_edge(2, 3)
+    word = synth._even_subgraph_word(p4.rows, 0b1111, 0)
+    assert word == gadget_edge(2, 3) + gadget_edge(1, 0)
     certify(p4, word, range(4), 12)
 
     k4 = Graph.complete(4)
-    word = synth._even_subgraph_word(k4.rows, 0b1111, 0, "end")
+    word = synth._even_subgraph_word(k4.rows, 0b1111, 0)
     assert len(word) <= 12 and word[-1] == 0
     certify(k4, word, range(4), 12)
 
 
 def test_reverse_even_subgraph_single_tree_is_exact():
     g = Graph.star(4)
-    word = synth._even_subgraph_word(g.rows, 0b1111, 2, "start")
+    word = synth._even_subgraph_word(g.rows, 0b1111, 2)
     assert len(word) == 4 * 4 - 4
-    assert word[0] == 2
+    assert word[-1] == 2
     certify(g, word, range(4), 12)
 
 
 def test_reverse_even_subgraph_proper_subset():
     c6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
-    word = synth._even_subgraph_word(c6.rows, 0b1111, 0, "end")
+    word = synth._even_subgraph_word(c6.rows, 0b1111, 0)
     assert word[-1] == 0
     certify(c6, word, {0, 1, 2, 3}, 12)
 
@@ -305,16 +303,15 @@ def test_reverse_even_subgraph_random():
         n = rng.choice(range(4, 13, 2))
         g = random_connected_graph(rng, n)
         v = rng.randrange(n)
-        anchor = rng.choice(("end", "start"))
-        word = synth._even_subgraph_word(g.rows, (1 << n) - 1, v, anchor)
+        word = synth._even_subgraph_word(g.rows, (1 << n) - 1, v)
         assert len(word) <= 4 * n - 4
-        assert (word[-1] if anchor == "end" else word[0]) == v
+        assert word[-1] == v
         certify(g, word, range(n), 4 * n - 4)
 
 
 def test_reverse_odd_subgraph_c5_and_k5():
-    # vertex 0 is peeled: on C5 it ends an induced path, whose gadget
-    # closes the word; on K5 it lies on a triangle, whose gadget opens it
+    # vertex 0 is peeled: on C5 it ends an induced path, on K5 it lies on
+    # a triangle; either gadget closes the word, the triangle one reversed
     c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     gadget = synth._vertex_gadget(c5.rows, 0, 0b11111)
     word = synth._odd_subgraph_word(c5.rows, 0b11111)
@@ -325,7 +322,7 @@ def test_reverse_odd_subgraph_c5_and_k5():
     k5 = Graph.complete(5)
     gadget = synth._vertex_gadget(k5.rows, 0, 0b11111)
     word = synth._odd_subgraph_word(k5.rows, 0b11111)
-    assert gadget == gadget_triangle(0, 1, 2) and word[:6] == gadget[:-1]
+    assert gadget == gadget_triangle(0, 1, 2) and word[-6:] == gadget[::-1][1:]
     assert len(word) <= 17
     certify(k5, word, range(5), 17)
 
@@ -334,7 +331,7 @@ def test_reverse_odd_subgraph_cancellation_length():
     # seven gadget letters plus the even-part word, minus the cancelled pair
     c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     word = synth._odd_subgraph_word(c5.rows, 0b11111)
-    even_part = synth._even_subgraph_word(c5.rows, 0b11110, 1, "end")
+    even_part = synth._even_subgraph_word(c5.rows, 0b11110, 1)
     assert len(word) == 7 + len(even_part) - 2
 
 
