@@ -1,9 +1,10 @@
 """Color reversal of bicolored graphs by local inversions.
 
-The package provides the inversion calculus (:mod:`locinv.graph_core`),
-structural decompositions (:mod:`locinv.partitioner`), bound-certified word
-synthesis (:mod:`locinv.synthesizer`), an exact breadth-first oracle
-(:mod:`locinv.oracle`), and a command-line interface (:mod:`locinv.cli`).
+The root exports the README's Library API: graphs, word application, the
+certified word builders and their verifier, the exact oracle, the errors.
+Every other name comes from its module: :mod:`locinv.graph_core`,
+:mod:`locinv.partitioner`, :mod:`locinv.synthesizer`, :mod:`locinv.oracle`,
+:mod:`locinv.graph6` or :mod:`locinv.cli`.
 """
 
 from .errors import (
@@ -13,45 +14,8 @@ from .errors import (
     UnsatisfiableError,
     VerificationError,
 )
-from .graph_core import (
-    BicoloredGraph,
-    Coloring,
-    Graph,
-    Word,
-    all_plus,
-    apply_word,
-    flip,
-    local_complement,
-    local_inversion,
-    reduce_word,
-    replay,
-)
-from .partitioner import (
-    EdgePartition,
-    RootedTree,
-    p3_partition,
-    perfect_forest,
-)
-from .synthesizer import (
-    CertifiedWord,
-    color_reversal_word,
-    complete_word,
-    gadget_edge,
-    gadget_p3_end,
-    gadget_p3_ends,
-    gadget_triangle,
-    star_word,
-    transform_word,
-    verify_certificate,
-)
-from .oracle import (
-    CrReport,
-    SurveySummary,
-    connected_graphs,
-    exact_cr,
-    min_flip_word,
-    summarize,
-    survey,
-)
+from .graph_core import BicoloredGraph, Graph, apply_word, flip
+from .synthesizer import CertifiedWord, color_reversal_word, transform_word, verify_certificate
+from .oracle import exact_cr, min_flip_word
 
 __version__ = "0.1.0"

@@ -28,7 +28,6 @@ from typing import Sequence
 from .errors import (
     BoundExceededError,
     CapExceededError,
-    Graph6Error,
     UnsatisfiableError,
     VerificationError,
 )
@@ -262,30 +261,37 @@ def _cmd_survey(args: argparse.Namespace) -> int:
     return 0
 
 
+# kind -> (builder, argument count); star and complete look up their family at call time
+_GADGETS = {
+    "edge": (gadget_edge, 2),
+    "triangle": (gadget_triangle, 3),
+    "p3ends": (gadget_p3_ends, 3),
+    "p3end": (gadget_p3_end, 3),
+    "star": (lambda n: star_word(n).word, 1),
+    "complete": (lambda n: complete_word(n).word, 1),
+}
+
+
 def _cmd_gadget(args: argparse.Namespace) -> int:
-    kind = args.kind
-    if kind == "edge":
-        word: Sequence[int] = gadget_edge(*_gadget_vertices(args, 2))
-    elif kind == "triangle":
-        word = gadget_triangle(*_gadget_vertices(args, 3))
-    elif kind == "p3ends":
-        word = gadget_p3_ends(*_gadget_vertices(args, 3))
-    elif kind == "p3end":
-        word = gadget_p3_end(*_gadget_vertices(args, 3))
-    elif kind == "star":
-        word = star_word(_gadget_size(args)).word
-    else:
-        word = complete_word(_gadget_size(args)).word
+    build, count = _GADGETS[args.kind]
+    word = build(_gadget_size(args)) if count == 1 else build(*_gadget_vertices(args, count))
     labels = _parse_labels(args.labels, max(word) + 1)
     print(f"word: {_render_word(word, labels)}")
     print(f"length: {len(word)}")
     return 0
 
 
+def _gadget_int(args: argparse.Namespace, what: str, token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"gadget {args.kind}: {what} {token!r} is not an integer") from None
+
+
 def _gadget_vertices(args: argparse.Namespace, count: int) -> list[int]:
     if len(args.args) != count:
         raise ValueError(f"gadget {args.kind} takes {count} vertex ids")
-    vs = [int(x) for x in args.args]
+    vs = [_gadget_int(args, "vertex id", x) for x in args.args]
     if any(v < 0 for v in vs) or len(set(vs)) != count:
         raise ValueError(f"gadget {args.kind} needs {count} distinct non-negative ids")
     return vs
@@ -294,7 +300,7 @@ def _gadget_vertices(args: argparse.Namespace, count: int) -> list[int]:
 def _gadget_size(args: argparse.Namespace) -> int:
     if len(args.args) != 1:
         raise ValueError(f"gadget {args.kind} takes the vertex count")
-    n = int(args.args[0])
+    n = _gadget_int(args, "vertex count", args.args[0])
     if n > MAX_VERTICES:
         raise ValueError(f"gadget {args.kind}: vertex count {n} exceeds the limit of {MAX_VERTICES}")
     return n
@@ -345,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_survey)
 
     p = add_parser("gadget", help="print a raw gadget word")
-    p.add_argument("kind", choices=["edge", "triangle", "p3ends", "p3end", "star", "complete"])
+    p.add_argument("kind", choices=_GADGETS)
     p.add_argument("args", nargs="*", help="vertex ids, or the vertex count for star/complete")
     p.add_argument("--labels")
     p.set_defaults(func=_cmd_gadget)
@@ -403,6 +409,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if exc.witness:
             print(json.dumps({"witness": exc.witness}), file=sys.stderr)
         return 1
-    except (ValueError, Graph6Error, CapExceededError, OSError) as exc:
+    except (ValueError, CapExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

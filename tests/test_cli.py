@@ -1,10 +1,12 @@
 """Tests for file formats and the command-line surface."""
 
+import ast
 import json
 import os
 import random
 import subprocess
 import sys
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -456,6 +458,29 @@ def test_importing_the_cli_loads_no_process_pool():
     assert out.stdout == "[]\n"
 
 
+def test_the_package_root_exports_the_readme_api():
+    # the root holds the names the README's Library example imports, the
+    # type its builders return and the exceptions; nothing else
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    example = text.split("```python\n", 1)[1].split("```", 1)[0]
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(example))
+        if isinstance(node, ast.ImportFrom) and node.module == "locinv"
+        for alias in node.names
+    }
+    errors = {name for name, value in vars(locinv.errors).items() if isinstance(value, type)}
+    exported = {
+        name
+        for name, value in vars(locinv).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(imported) == 9 and len(errors) == 5
+    assert exported == imported | {"CertifiedWord"} | errors
+
+
 def test_a_false_certificate_is_reported_under_optimize_flag(tmp_path):
     path = tmp_path / "p4.txt"
     path.write_text(P4)
@@ -714,3 +739,8 @@ def test_gadget_argument_errors(capsys):
     assert main(["gadget", "edge", "0"]) == 1
     assert main(["gadget", "edge", "0", "0"]) == 1
     assert main(["gadget", "star"]) == 1
+    capsys.readouterr()
+    assert main(["gadget", "edge", "a", "b"]) == 1
+    assert capsys.readouterr().err == "error: gadget edge: vertex id 'a' is not an integer\n"
+    assert main(["gadget", "star", "x"]) == 1
+    assert capsys.readouterr().err == "error: gadget star: vertex count 'x' is not an integer\n"
