@@ -32,7 +32,7 @@ from .errors import (
     VerificationError,
 )
 from .graph_core import BicoloredGraph, Coloring, Graph, apply_word, mask_of
-from .oracle import DEFAULT_CAP, MAX_CAP, CrReport, exact_cr, summarize, survey
+from .oracle import CrReport, exact_cr, summarize, survey
 from .synthesizer import (
     CertifiedWord,
     color_reversal_word,
@@ -70,6 +70,18 @@ MAX_VERTICES = 1 << 16
 # -- formats -----------------------------------------------------------
 
 
+def _ascii_int(token: str) -> int:
+    """``int(token)`` for ASCII digits with at most a leading ``-``.
+
+    Plain ``int()`` also reads other scripts' digits, ``_`` separators, a
+    ``+`` sign and surrounding whitespace; no format here has them.
+    """
+    digits = token.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse an edge-list document: ``n <count>`` then one ``u v`` per line.
 
@@ -94,7 +106,7 @@ def parse_edge_list(text: str) -> Graph:
         if len(toks) != 2:
             raise ValueError(f"line {no}: expected 'u v', got {ln!r}")
         try:
-            u, v = int(toks[0]), int(toks[1])
+            u, v = _ascii_int(toks[0]), _ascii_int(toks[1])
         except ValueError:
             raise ValueError(f"line {no}: expected integers, got {ln!r}") from None
         if u == v:
@@ -154,7 +166,7 @@ def _parse_word(raw: str, n: int) -> tuple[int, ...]:
     if not raw:
         return ()
     try:
-        word = tuple(int(tok) for tok in raw.split(","))
+        word = tuple(_ascii_int(tok.strip()) for tok in raw.split(","))
     except ValueError:
         raise ValueError(f"--word must be comma-separated integers, got {raw!r}") from None
     for x in word:
@@ -233,7 +245,7 @@ def _report_dict(rep: CrReport) -> dict:
 
 def _cmd_exact(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
-    rep = exact_cr(g, cap=args.cap)
+    rep = exact_cr(g)
     print(json.dumps(_report_dict(rep), indent=2))
     return 0
 
@@ -283,7 +295,7 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
 
 def _gadget_int(args: argparse.Namespace, what: str, token: str) -> int:
     try:
-        return int(token)
+        return _ascii_int(token)
     except ValueError:
         raise ValueError(f"gadget {args.kind}: {what} {token!r} is not an integer") from None
 
@@ -341,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("exact", help="exact color reversal number by exhaustive search")
     p.add_argument("-i", "--input", required=True, help="edge-list file")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help=f"vertex cap for the search, at most {MAX_CAP}")
     p.set_defaults(func=_cmd_exact)
 
     p = add_parser("survey", help="exact reports for all small connected graphs")

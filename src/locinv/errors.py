@@ -25,7 +25,7 @@ class BoundExceededError(Exception):
 
 
 class CapExceededError(RuntimeError):
-    """Exhaustive search was requested beyond the configured vertex cap."""
+    """Exhaustive search would pass ``oracle.MAX_CAP`` vertices or ``oracle.MAX_STATES`` states."""
 
 
 class Graph6Error(ValueError):

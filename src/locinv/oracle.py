@@ -9,7 +9,7 @@ table lookup and one XOR.  Inversions at two non-adjacent vertices
 commute, so after letter ``a`` the search tries only the letters above
 ``a`` and the neighbours of ``a`` below it.  The search yields shortest
 transformation words, the exact color reversal number of small graphs,
-and an exhaustive survey of all connected graphs up to a vertex cap.
+and a survey of every connected graph up to :data:`MAX_CAP` vertices.
 
 Between two colorings of one graph the search runs forward to half the
 distance only (see :func:`min_flip_word`), so it visits a ball of half
@@ -22,15 +22,15 @@ augmentation (:func:`connected_graphs`) and searches on those
 :class:`Graph` values: the 853 connected classes on 7 vertices take well
 under a second, and the survey of all 995 classes up to 7 vertices runs
 in under a minute on one core; only ``jobs > 1`` loads a process pool.
-The default cap is 7 vertices, and no cap lifts a search above
-:data:`MAX_CAP` vertices: the move table alone has 2^n entries.
+No search runs on more than :data:`MAX_CAP` vertices: the move table
+alone has 2^n entries.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, UnsatisfiableError
@@ -46,9 +46,8 @@ from .graph_core import (
 from .graph6 import emit_graph6, parse_graph6
 from .synthesizer import color_reversal_word
 
-DEFAULT_CAP = 7
-# Ceiling on every search, whatever ``cap`` a caller passes: a larger
-# request raises CapExceededError before anything is allocated.
+# Vertex ceiling of every search, which sizes the 2^n-entry move table and
+# LETTER_BITS: a larger request raises CapExceededError before allocating.
 MAX_CAP = 8
 
 
@@ -200,9 +199,7 @@ def _search(start: int, goal: int, n: int) -> tuple[Word | None, int]:
     return tuple(letters), len(seen)
 
 
-def min_flip_word(
-    b: BicoloredGraph, target: BicoloredGraph, cap: int = DEFAULT_CAP
-) -> tuple[int, Word] | None:
+def min_flip_word(b: BicoloredGraph, target: BicoloredGraph) -> tuple[int, Word] | None:
     """Shortest word transforming ``b`` into ``target``, or None if unreachable.
 
     The witness is the lexicographically first shortest word, which is the
@@ -225,16 +222,15 @@ def min_flip_word(
     that stays on a shortest path.  A target with another graph is met only
     as itself, which makes the same loop plain breadth-first search.
 
-    Raises :class:`CapExceededError` on more than ``cap`` vertices, or more
-    than :data:`MAX_CAP`, and when a layer could take the search past
-    :data:`MAX_STATES` visited states.
+    Raises :class:`CapExceededError` on more than :data:`MAX_CAP` vertices,
+    and when a layer could take the search past :data:`MAX_STATES` visited
+    states.
     """
     n = b.graph.n
     if target.graph.n != n:
         raise ValueError("source and target must have the same vertex count")
-    limit = min(cap, MAX_CAP)
-    if n > limit:
-        raise CapExceededError(f"{n} vertices exceed the search cap {limit}")
+    if n > MAX_CAP:
+        raise CapExceededError(f"{n} vertices exceed the search cap {MAX_CAP}")
     word, _ = _search(pack_state(b), pack_state(target), n)
     return None if word is None else (len(word), word)
 
@@ -254,7 +250,7 @@ class CrReport:
     bound: int | None
 
 
-def exact_cr(g: Graph, cap: int = DEFAULT_CAP) -> CrReport:
+def exact_cr(g: Graph) -> CrReport:
     """Exact color reversal number of ``g`` by breadth-first search.
 
     Searches from the all-plus coloring to the all-minus coloring; the
@@ -264,7 +260,7 @@ def exact_cr(g: Graph, cap: int = DEFAULT_CAP) -> CrReport:
     """
     start = BicoloredGraph(g, all_plus(g.n))
     target = flip(start, range(g.n))
-    found = min_flip_word(start, target, cap=cap)
+    found = min_flip_word(start, target)
     try:
         cw = color_reversal_word(g)
         synth_len, bound = len(cw.word), cw.bound
@@ -350,15 +346,10 @@ def connected_graphs(n: int) -> Iterator[Graph]:
 # -- survey -------------------------------------------------------------------
 
 
-def survey(
-    n_max: int,
-    *,
-    graph6_lines: Iterable[str] | None = None,
-    cap: int = DEFAULT_CAP,
-    jobs: int = 1,
-) -> list[CrReport]:
+def survey(n_max: int, *, graph6_lines: Iterable[str] | None = None, jobs: int = 1) -> list[CrReport]:
     """Exact reports for every connected graph with 2..n_max vertices.
 
+    ``n_max`` above :data:`MAX_CAP` raises :class:`CapExceededError` first.
     Graphs come from ``graph6_lines`` when given (filtered to at most
     ``n_max`` vertices) and from internal isomorphism-free enumeration
     otherwise, and reach :func:`exact_cr` as :class:`Graph` values.
@@ -367,21 +358,19 @@ def survey(
     since more workers than cores only add processes; the process pool
     is imported only when ``jobs > 1``.
     """
-    limit = min(cap, MAX_CAP)
-    if n_max > limit:
-        raise CapExceededError(f"n_max {n_max} exceeds the search cap {limit}")
+    if n_max > MAX_CAP:
+        raise CapExceededError(f"n_max {n_max} exceeds the search cap {MAX_CAP}")
     if graph6_lines is not None:
         graphs = [g for g in map(parse_graph6, graph6_lines) if g.n <= n_max]
     else:
         graphs = [g for n in range(2, n_max + 1) for g in connected_graphs(n)]
-    one = partial(exact_cr, cap=cap)
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
-        return list(map(one, graphs))
+        return list(map(exact_cr, graphs))
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one, graphs))
+        return list(pool.map(exact_cr, graphs))
 
 
 @dataclass(frozen=True, slots=True)

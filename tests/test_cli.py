@@ -20,7 +20,6 @@ import locinv.synthesizer as synth
 from locinv.errors import Graph6Error
 from locinv.graph_core import Graph
 from locinv.cli import (
-    MAX_CAP,
     MAX_VERTICES,
     emit_edge_list,
     format_colors,
@@ -29,6 +28,7 @@ from locinv.cli import (
     parse_edge_list,
 )
 from locinv.graph6 import emit_graph6, parse_graph6
+from locinv.oracle import MAX_CAP
 
 from helpers import cli_help_text, random_graph
 
@@ -153,6 +153,7 @@ def test_edge_list_errors():
         ("n 3\r\n0 1\r\n1 2 0\r\n3 0\r\n1 1\r\n", "line 3: expected 'u v', got '1 2 0'"),
         ("n 5\n\t4 0\n 0 5 \n-1 2\n2 2\n", "line 3: vertex out of range in '0 5'"),
         ("\n\nn 2\n0 1\n1 0\na 1\n0 0\n", "line 6: expected integers, got 'a 1'"),
+        ("n 3\n0 1\n-1 2\n", "line 3: vertex out of range in '-1 2'"),
     ],
 )
 def test_edge_list_reports_the_first_bad_line(text, message):
@@ -242,7 +243,7 @@ def test_exact_refuses_a_cap_above_the_search_ceiling(tmp_path, capsys, monkeypa
     monkeypatch.setattr(oracle, "_move_table", _must_not_build)
     path = tmp_path / "p40.txt"
     path.write_text(emit_edge_list(Graph.path(40)))
-    assert main(["exact", "--cap", "40", "-i", str(path)]) == 1
+    assert main(["exact", "-i", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: 40 vertices exceed the search cap {MAX_CAP}\n"
@@ -628,6 +629,9 @@ def test_apply_command(p3_file, capsys):
     out = capsys.readouterr().out
     assert "n 3" in out
     assert "colors: ---" in out
+    # spaces around letters are read as before
+    assert main(["apply", "-i", p3_file, "--colors", "+++", "--word", " 0, 1 "]) == 0
+    assert capsys.readouterr().out == out
     # empty word round-trips the input
     assert main(["apply", "-i", p3_file, "--colors", "+-+", "--word", ""]) == 0
     out = capsys.readouterr().out
@@ -636,6 +640,9 @@ def test_apply_command(p3_file, capsys):
 
 def test_apply_rejects_bad_word(p3_file, capsys):
     assert main(["apply", "-i", p3_file, "--colors", "+++", "--word", "0,9"]) == 1
+    capsys.readouterr()
+    assert main(["apply", "-i", p3_file, "--colors", "+++", "--word", "0,-1"]) == 1
+    assert capsys.readouterr().err == "error: word letter -1 out of range 0..2\n"
 
 
 def test_exact_command(p3_file, capsys):
@@ -648,9 +655,15 @@ def test_exact_command(p3_file, capsys):
     assert report["bound"] == 9
 
 
-def test_exact_respects_cap(p3_file, capsys):
-    assert main(["exact", "-i", p3_file, "--cap", "2"]) == 1
-    assert "cap" in capsys.readouterr().err
+def test_exact_runs_at_eight_vertices(tmp_path, capsys):
+    path = tmp_path / "p8.txt"
+    path.write_text(emit_edge_list(Graph.path(8)))
+    assert main(["exact", "-i", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert '  "exact_cr": 20,' in captured.out.splitlines()
+    report = json.loads(captured.out)
+    assert (report["n"], report["synthesized_length"], report["bound"]) == (8, 24, 28)
+    assert captured.err == ""
 
 
 def test_survey_command(capsys):
@@ -735,6 +748,19 @@ def test_gadget_labels_are_checked_like_reverse_labels(p3_file, capsys):
     assert captured.err == "error: --labels needs 2 comma-separated names\n"
 
 
+@pytest.mark.parametrize("token", ["١٢", "1_0", "+1"])
+def test_integers_are_ascii_digits_only(p3_file, tmp_path, capsys, token):
+    # int() reads each of these as 12, 10 or 1
+    path = tmp_path / "g.txt"
+    path.write_text(f"n 3\n0 {token}\n")
+    assert main(["reverse", "-i", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: line 2: expected integers, got '0 {token}'\n"
+    assert main(["apply", "-i", p3_file, "--colors", "+++", "--word", f"0,{token}"]) == 1
+    assert capsys.readouterr().err == f"error: --word must be comma-separated integers, got '0,{token}'\n"
+    assert main(["gadget", "edge", "0", token]) == 1
+    assert capsys.readouterr().err == f"error: gadget edge: vertex id '{token}' is not an integer\n"
+
+
 def test_gadget_argument_errors(capsys):
     assert main(["gadget", "edge", "0"]) == 1
     assert main(["gadget", "edge", "0", "0"]) == 1
@@ -744,3 +770,5 @@ def test_gadget_argument_errors(capsys):
     assert capsys.readouterr().err == "error: gadget edge: vertex id 'a' is not an integer\n"
     assert main(["gadget", "star", "x"]) == 1
     assert capsys.readouterr().err == "error: gadget star: vertex count 'x' is not an integer\n"
+    assert main(["gadget", "edge", "-1", "2"]) == 1
+    assert capsys.readouterr().err == "error: gadget edge needs 2 distinct non-negative ids\n"

@@ -286,12 +286,12 @@ def test_min_flip_word_pinned_witnesses():
 
 
 def test_min_flip_word_cap():
-    g = Graph.path(8)
-    b = BicoloredGraph(g, all_plus(8))
+    b = BicoloredGraph(Graph.path(9), all_plus(9))
     with pytest.raises(CapExceededError):
-        min_flip_word(b, flip(b, range(8)))
-    # explicit cap raise permits it
-    assert min_flip_word(b, b, cap=8) == (0, ())
+        min_flip_word(b, flip(b, range(9)))
+    # 8 vertices are within MAX_CAP
+    b = BicoloredGraph(Graph.path(8), all_plus(8))
+    assert min_flip_word(b, flip(b, range(8)))[0] == 20
 
 
 def _must_not_search(*args):
@@ -303,11 +303,10 @@ def test_search_ceiling_holds_whatever_the_cap(monkeypatch):
     monkeypatch.setattr(oracle, "_move_table", _must_not_search)
     monkeypatch.setattr(oracle, "connected_graphs", _must_not_search)
     b = BicoloredGraph(Graph.path(MAX_CAP + 1), all_plus(MAX_CAP + 1))
-    for cap in (MAX_CAP + 1, 40, 10**6):
-        with pytest.raises(CapExceededError, match=f"search cap {MAX_CAP}$"):
-            min_flip_word(b, flip(b, range(MAX_CAP + 1)), cap=cap)
-        with pytest.raises(CapExceededError, match=f"search cap {MAX_CAP}$"):
-            survey(MAX_CAP + 1, cap=cap)
+    with pytest.raises(CapExceededError, match=f"^{MAX_CAP + 1} vertices exceed the search cap {MAX_CAP}$"):
+        min_flip_word(b, flip(b, range(MAX_CAP + 1)))
+    with pytest.raises(CapExceededError, match=f"^n_max {MAX_CAP + 1} exceeds the search cap {MAX_CAP}$"):
+        survey(MAX_CAP + 1)
 
 
 # -- exact cr -------------------------------------------------------------------
@@ -318,6 +317,20 @@ def test_exact_cr_known_values():
     assert exact_cr(Graph.path(3)).exact_cr == 9
     assert exact_cr(Graph.complete(3)).exact_cr == 9
     assert exact_cr(Graph.star(4)).exact_cr == 12
+
+
+@pytest.mark.parametrize(
+    "g, cr",
+    [(Graph.path(8), 20), (_cycle(8), 24), (Graph.complete(8), 24), (Graph.star(8), 24)],
+    ids=["P8", "C8", "K8", "K1,7"],
+)
+def test_exact_cr_at_eight_vertices(g, cr):
+    # 3n on the paper's two 3n families (stars, complete graphs) and on C8
+    rep = exact_cr(g)
+    assert rep.exact_cr == cr
+    assert rep.exact_cr <= rep.synthesized_length <= rep.bound
+    b = BicoloredGraph(g, all_plus(8))
+    assert apply_word(b, rep.witness) == flip(b, range(8))
 
 
 def test_exact_cr_reports_sandwich():
@@ -421,6 +434,15 @@ def test_survey_with_graph6_input():
     lines = [emit_graph6(Graph.complete(2)), emit_graph6(Graph.star(4))]
     reports = survey(5, graph6_lines=lines)
     assert [r.exact_cr for r in reports] == [2, 12]
+
+
+def test_survey_runs_at_eight_vertices():
+    from locinv.graph6 import emit_graph6
+
+    lines = [emit_graph6(Graph.path(8)), emit_graph6(_cycle(8))]
+    reports = survey(8, graph6_lines=lines)
+    assert [(r.graph_id, r.n, r.exact_cr) for r in reports] == [(lines[0], 8, 20), (lines[1], 8, 24)]
+    assert all(r.exact_cr <= r.synthesized_length <= r.bound for r in reports)
 
 
 def test_survey_summary_of_the_empty_graph_has_no_ratio():
