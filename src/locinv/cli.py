@@ -82,6 +82,14 @@ def _ascii_int(token: str) -> int:
     return int(token)
 
 
+def _int_option(token: str) -> int:
+    """argparse ``type`` for integer options: :func:`_ascii_int` with argparse's own error text."""
+    try:
+        return _ascii_int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse an edge-list document: ``n <count>`` then one ``u v`` per line.
 
@@ -356,9 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_exact)
 
     p = add_parser("survey", help="exact reports for all small connected graphs")
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
+    p.add_argument("--max-n", type=_int_option, required=True, dest="max_n")
     p.add_argument("--graph6", help="read graphs from a graph6 file instead of enumerating")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most the CPU count")
+    p.add_argument("--jobs", type=_int_option, default=1, help="worker processes, at most the CPU count")
     p.set_defaults(func=_cmd_survey)
 
     p = add_parser("gadget", help="print a raw gadget word")

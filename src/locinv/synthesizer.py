@@ -18,6 +18,11 @@ Building blocks (lengths in letters):
 * ``gadget_p3_ends(a, b, c)``, 8: flips {a, b} when c sees both and ab is
   a non-edge.
 * ``gadget_p3_end(a, b, c)``, 7: flips {a} under the same hypotheses.
+* The 3-vertex piece words, 9, on sorted ids: ``p,q,p,q,r,q,r,p,r`` for a
+  triangle pqr and ``a,c,a,b,a,b,c,b,c`` for a path with ends a < b and
+  centre c.  Each flips exactly the piece and restores every edge in any
+  host graph, so one word serves both a whole component and a piece of a
+  flip set.
 
 On top of those: whole-graph color reversal within 4n-4 (n even) or 4n-3
 (n odd) letters per connected component, arbitrary recoloring within
@@ -27,7 +32,7 @@ complete graphs.
 Each construction has one private row core that takes the host graph's
 adjacency rows and its vertex sets as ``int`` masks, from the component
 split (:func:`locinv.graph_core.component_masks`) down to the gadgets:
-``_base_word``, ``_odd_tree_word``, ``_even_subgraph_word``,
+``_vertex_gadget``, ``_odd_tree_word``, ``_even_subgraph_word``,
 ``_odd_subgraph_word``, ``_reverse_component_word``, ``_flip_set_word``
 and ``_transform_component``.  The cores trust their inputs and call each
 other directly.  An anchored word (odd tree, even subgraph) always ends
@@ -116,23 +121,6 @@ def gadget_p3_end(a: int, b: int, c: int) -> Word:
     return (c, a, b, a, c, b, a)
 
 
-# -- small whole-graph base cases ----------------------------------------
-
-
-def _base_word(rows: Sequence[int], comp: int) -> Word:
-    """Reversal word for a connected piece on the 2- or 3-vertex mask ``comp``: K2, K3 or P3."""
-    vs = tuple(iter_bits(comp))
-    if len(vs) == 2:
-        return vs
-    inner_deg2 = [v for v in vs if (rows[v] & comp).bit_count() == 2]
-    if len(inner_deg2) == 3:
-        p, q, r = vs
-        return (p, q, p, q, p, q, r, p, r)
-    b = inner_deg2[0]
-    a, c = iter_bits(comp ^ (1 << b))
-    return (a, b, a, b, a, c, a, c, b)
-
-
 # -- single-vertex flips --------------------------------------------------
 
 
@@ -144,7 +132,8 @@ def _vertex_gadget(rows: Sequence[int], a: int, allowed: int) -> Word | None:
     gives ``gadget_p3_end(a, b, c)`` (smallest b, then smallest c).  None if
     neither lies inside the mask.  The word's first letter gives its shape:
     a triangle word starts with a, a path word with c.  This is the one
-    search behind :func:`_single_flip_word` and :func:`_odd_subgraph_word`.
+    search behind the single flips of :func:`_flip_set_word` and
+    :func:`_odd_subgraph_word`.
     """
     row_a = rows[a]
     nb = row_a & allowed
@@ -162,24 +151,6 @@ def _vertex_gadget(rows: Sequence[int], a: int, allowed: int) -> Word | None:
 def _pendant_neighbor(rows: Sequence[int], a: int) -> int | None:
     """Smallest neighbor x of a with degree 1: inverting at x flips exactly {a}."""
     return next((x for x in iter_bits(rows[a]) if rows[x].bit_count() == 1), None)
-
-
-def _single_flip_word(rows: Sequence[int], a: int) -> Word:
-    """Word flipping exactly {a}, using only a's component.
-
-    Preference order: a pendant neighbor x gives the one-letter word (x);
-    otherwise a triangle or an induced-path gadget gives seven letters.
-    One of the three always applies once a has any neighbor; a star
-    center takes the pendant word, which is the shortest possible.
-    """
-    if rows[a] == 0:
-        raise UnsatisfiableError(f"vertex {a} is isolated; its color is invariant")
-    x = _pendant_neighbor(rows, a)
-    if x is not None:
-        return (x,)
-    word = _vertex_gadget(rows, a, (1 << len(rows)) - 1)
-    assert word is not None, "a non-pendant neighborhood yields a triangle or an induced path"
-    return word
 
 
 # -- induced odd trees and subgraphs --------------------------------------
@@ -274,10 +245,22 @@ def _odd_subgraph_word(rows: Sequence[int], within: int) -> Word:
 
 
 def _reverse_component_word(rows: Sequence[int], comp: int) -> Word:
-    """Reversal word of the connected piece on the mask ``comp``, of order >= 2."""
+    """Reversal word of the connected piece on the mask ``comp``, of order >= 2.
+
+    A pair takes itself, valid only as a whole component; three vertices
+    take the 9-letter piece word of the module docstring.  Every other
+    word holds in any host.
+    """
     m = comp.bit_count()
-    if m in (2, 3):
-        return _base_word(rows, comp)
+    if m == 2:
+        return tuple(iter_bits(comp))
+    if m == 3:
+        p, q, r = iter_bits(comp)
+        if (rows[p] >> q) & (rows[p] >> r) & (rows[q] >> r) & 1:
+            return (p, q, p, q, r, q, r, p, r)
+        c = next(v for v in (p, q, r) if (rows[v] & comp).bit_count() == 2)
+        a, b = iter_bits(comp ^ (1 << c))
+        return (a, c, a, b, a, b, c, b, c)
     if m % 2 == 0:
         return _even_subgraph_word(rows, comp, (comp & -comp).bit_length() - 1)
     return _odd_subgraph_word(rows, comp)
@@ -286,12 +269,12 @@ def _reverse_component_word(rows: Sequence[int], comp: int) -> Word:
 def color_reversal_word(g: Graph) -> CertifiedWord:
     """Word flipping every vertex of ``g`` and restoring ``g``.
 
-    Per connected component: the two- and three-vertex base words, an even
-    subgraph reversal, or an odd subgraph reversal.  The certified bound is
-    4n-4 for a connected even-order graph, 4n-3 for odd order, and 4n-3t
-    for t >= 2 components.  Isolated vertices make the task unsatisfiable.
-    The word is checked with :func:`verify_certificate` before it is
-    returned.
+    Per connected component: the vertex pair of a K2, the 3-vertex piece
+    word, an even subgraph reversal, or an odd subgraph reversal.  The
+    certified bound is 4n-4 for a connected even-order graph, 4n-3 for odd
+    order, and 4n-3t for t >= 2 components.  Isolated vertices make the
+    task unsatisfiable.  The word is checked with :func:`verify_certificate`
+    before it is returned.
     """
     for v in range(g.n):
         if g.rows[v] == 0:
@@ -315,16 +298,17 @@ def color_reversal_word(g: Graph) -> CertifiedWord:
 def _flip_set_word(rows: Sequence[int], s: int) -> Word:
     """Word flipping exactly the vertex mask ``s``, choosing cheap gadgets per shape.
 
-    Components of the induced subgraph on ``s`` of order 4 or more, and
-    those that are whole components of the graph, get their reversal word.
-    Smaller ones are flipped with the edge gadget (2 vertices) or gadget
-    compositions that stay valid inside the ambient graph (3 vertices).
-    A vertex isolated in the induced subgraph takes the one-letter word of
-    a pendant neighbor when it has one.  The others are pending: two that
-    share a neighbor pair up into one 8-letter path-ends gadget, cheaper
-    than two 7-letter single flips (the lowest pending vertex pairs with
-    the first later one that shares a neighbor, and the gadget is centred
-    on their lowest common neighbor), and the rest are flipped singly.
+    Each component of the induced subgraph on ``s`` is one of three cases.
+    A 2-vertex piece with a neighbor outside it takes the edge gadget.  Any
+    other piece of two or more vertices takes its reversal word, which holds
+    in any host.  A vertex isolated in the induced subgraph takes the
+    one-letter word of a pendant neighbor when it has one; the others are
+    pending: two that share a neighbor pair up into one 8-letter path-ends
+    gadget, cheaper than two 7-letter single flips (the lowest pending
+    vertex pairs with the first later one that shares a neighbor, and the
+    gadget is centred on their lowest common neighbor), and the rest take
+    :func:`_vertex_gadget`, which always finds a triangle or an induced
+    path: a pending vertex has neighbors, none of degree 1.
     """
     parts: list[int] = []
     isolates = 0
@@ -332,22 +316,10 @@ def _flip_set_word(rows: Sequence[int], s: int) -> Word:
         m = comp.bit_count()
         if m == 1:
             isolates |= comp
-        elif m >= 4 or all(rows[v] & ~comp == 0 for v in iter_bits(comp)):
-            # a piece that is a whole component of the graph takes the
-            # standalone reversal word, which is never longer
-            parts.extend(_reverse_component_word(rows, comp))
-        elif m == 2:
+        elif m == 2 and any(rows[v] & ~comp for v in iter_bits(comp)):
             parts.extend(gadget_edge(*iter_bits(comp)))
         else:
-            p, q, r = iter_bits(comp)
-            inner_deg2 = [v for v in (p, q, r) if (rows[v] & comp).bit_count() == 2]
-            if len(inner_deg2) == 3:
-                parts.extend(gadget_edge(p, q))
-                parts.extend(gadget_triangle(r, p, q))
-            else:
-                center = inner_deg2[0]
-                parts.extend(gadget_p3_ends(*iter_bits(comp ^ (1 << center)), center))
-                parts.extend(_single_flip_word(rows, center))
+            parts.extend(_reverse_component_word(rows, comp))
 
     pending = 0
     for u in iter_bits(isolates):
@@ -367,7 +339,7 @@ def _flip_set_word(rows: Sequence[int], s: int) -> Word:
                 parts.extend(gadget_p3_ends(u, v, (common & -common).bit_length() - 1))
                 break
         else:
-            parts.extend(_single_flip_word(rows, u))
+            parts.extend(_vertex_gadget(rows, u, (1 << len(rows)) - 1))
     return tuple(parts)
 
 

@@ -283,7 +283,7 @@ def p3_file(tmp_path):
 def test_reverse_command(p3_file, capsys):
     assert main(["reverse", "-i", p3_file, "--verify"]) == 0
     out = capsys.readouterr().out
-    assert "word: 0,1,0,1,0,2,0,2,1" in out
+    assert "word: 0,1,0,2,0,2,1,2,1" in out
     assert "length: 9" in out
     assert "bound: 9" in out
     assert "verification: ok" in out
@@ -292,7 +292,7 @@ def test_reverse_command(p3_file, capsys):
 def test_reverse_with_labels_and_reduce(p3_file, capsys):
     assert main(["reverse", "-i", p3_file, "--labels", "a,b,c", "--reduce"]) == 0
     out = capsys.readouterr().out
-    assert "word: a,b,a,b,a,c,a,c,b" in out
+    assert "word: a,b,a,c,a,c,b,c,b" in out
     assert "unreduced-length: 9" in out
 
 
@@ -504,7 +504,7 @@ def test_a_false_certificate_is_reported_under_optimize_flag(tmp_path):
 P3_BOUND_VIOLATIONS = {
     "reverse": (
         "bound violation: full-reversal: word of length 18 exceeds bound 9\n"
-        '{"witness": {"word": [0, 1, 0, 1, 0, 2, 0, 2, 1, 0, 1, 0, 1, 0, 2, 0, 2, 1], "bound": 9}}\n'
+        '{"witness": {"word": [0, 1, 0, 2, 0, 2, 1, 2, 1, 0, 1, 0, 2, 0, 2, 1, 2, 1], "bound": 9}}\n'
     ),
     "transform": (
         "bound violation: transform word of length 24 exceeds bound 15\n"
@@ -759,6 +759,24 @@ def test_integers_are_ascii_digits_only(p3_file, tmp_path, capsys, token):
     assert capsys.readouterr().err == f"error: --word must be comma-separated integers, got '0,{token}'\n"
     assert main(["gadget", "edge", "0", token]) == 1
     assert capsys.readouterr().err == f"error: gadget edge: vertex id '{token}' is not an integer\n"
+
+
+@pytest.mark.parametrize("option", ["--max-n", "--jobs"])
+@pytest.mark.parametrize("token", ["abc", "٣", "1_0", "+1"])
+def test_survey_integer_options_are_ascii_digits_only(capsys, monkeypatch, option, token):
+    # argparse's wording for a bad int, also for the tokens int() accepts;
+    # the usage line is wrapped to COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--max-n", token] if option == "--max-n" else ["--max-n", "3", "--jobs", token]
+    with pytest.raises(SystemExit) as exc:
+        main(["survey", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "usage: locinv survey [-h] --max-n MAX_N [--graph6 GRAPH6] [--jobs JOBS]\n"
+        f"locinv survey: error: argument {option}: invalid int value: '{token}'\n"
+    )
 
 
 def test_gadget_argument_errors(capsys):

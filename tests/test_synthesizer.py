@@ -20,6 +20,7 @@ from locinv.graph_core import (
     component_masks,
     flip,
     reduce_word,
+    replay,
 )
 from locinv.synthesizer import (
     CertifiedWord,
@@ -132,24 +133,53 @@ def test_p3_gadgets_compose_by_symmetric_difference():
 
 def test_base_case_words():
     k2 = Graph.complete(2)
-    assert synth._base_word(k2.rows, 0b11) == (0, 1)
+    assert synth._reverse_component_word(k2.rows, 0b11) == (0, 1)
     certify(k2, (0, 1), range(2), 2)
 
     k3 = Graph.complete(3)
-    word = synth._base_word(k3.rows, 0b111)
-    assert word == (0, 1, 0, 1, 0, 1, 2, 0, 2)
+    word = synth._reverse_component_word(k3.rows, 0b111)
+    assert word == (0, 1, 0, 1, 2, 1, 2, 0, 2)
     certify(k3, word, range(3), 9)
 
-    p3 = Graph.path(3)
-    word = synth._base_word(p3.rows, 0b111)
-    assert word == (0, 1, 0, 1, 0, 2, 0, 2, 1)
-    certify(p3, word, range(3), 9)
+    # a P3 word is laid out by the centre c and the ends a < b, whatever
+    # the centre's id: a, c, a, b, a, b, c, b, c
+    for centre, word in [
+        (0, (1, 0, 1, 2, 1, 2, 0, 2, 0)),
+        (1, (0, 1, 0, 2, 0, 2, 1, 2, 1)),
+        (2, (0, 2, 0, 1, 0, 1, 2, 1, 2)),
+    ]:
+        p3 = Graph.from_edges(3, [(centre, v) for v in range(3) if v != centre])
+        assert synth._reverse_component_word(p3.rows, 0b111) == word
+        certify(p3, word, range(3), 9)
 
-    # degree-2 vertex is the middle letter regardless of labeling
-    p3b = Graph.from_edges(3, [(0, 2), (1, 2)])
-    word = synth._base_word(p3b.rows, 0b111)
-    assert word == (0, 2, 0, 2, 0, 1, 0, 1, 2)
-    certify(p3b, word, range(3), 9)
+
+# the 3-vertex pieces on sorted ids p < q < r: K3, then P3 centred at each id
+THREE_VERTEX_PIECES = {
+    "K3": [(0, 1), (0, 2), (1, 2)],
+    "P3-centre-p": [(0, 1), (0, 2)],
+    "P3-centre-q": [(0, 1), (1, 2)],
+    "P3-centre-r": [(0, 2), (1, 2)],
+}
+
+
+@pytest.mark.parametrize("ids", [(4, 9, 14), (14, 15, 16)])
+@pytest.mark.parametrize("shape", THREE_VERTEX_PIECES)
+def test_three_vertex_words_hold_in_every_attachment_host(shape, ids):
+    # the piece plus two outside vertices for each of the 7 nonempty sets
+    # of piece vertices they attach to, with no edge between outside
+    # vertices: the word must flip exactly the piece and restore every
+    # edge, inside the piece, to it and between the outside vertices
+    n = 17
+    outside = [v for v in range(n) if v not in ids]
+    edges = [(ids[i], ids[j]) for i, j in THREE_VERTEX_PIECES[shape]]
+    for k, attach in enumerate(s for s in range(1, 8) for _ in range(2)):
+        edges += [(outside[k], ids[i]) for i in range(3) if (attach >> i) & 1]
+    g = Graph.from_edges(n, edges)
+    piece = sum(1 << v for v in ids)
+    word = synth._reverse_component_word(g.rows, piece)
+    assert len(word) == 9 and set(word) == set(ids)
+    assert replay(g.rows, word) == (piece, g.rows)
+    assert synth._flip_set_word(g.rows, piece) == word
 
 
 # -- single-vertex flips -----------------------------------------------------------
@@ -157,12 +187,12 @@ def test_base_case_words():
 
 def test_flip_single_on_triangle_and_path():
     k4 = Graph.complete(4)
-    word = synth._single_flip_word(k4.rows, 0)
+    word = synth._flip_set_word(k4.rows, 1 << 0)
     assert word == gadget_triangle(0, 1, 2)
     certify(k4, word, {0}, 7)
 
     p4 = Graph.path(4)
-    word = synth._single_flip_word(p4.rows, 0)
+    word = synth._flip_set_word(p4.rows, 1 << 0)
     assert word == gadget_p3_end(0, 2, 1)
     certify(p4, word, {0}, 7)
 
@@ -173,7 +203,7 @@ def test_flip_single_star_center_oracle_minimum():
     from locinv.oracle import min_flip_word
 
     g = Graph.star(3)
-    word = synth._single_flip_word(g.rows, 0)
+    word = synth._flip_set_word(g.rows, 1 << 0)
     assert word == (1,)
     b = BicoloredGraph(g, all_plus(3))
     assert min_flip_word(b, flip(b, {0})) == (1, word)
@@ -407,6 +437,19 @@ def test_transform_random():
         assert len(cw.word) <= (11 * n - 3) // 2 == cw.bound
         assert apply_word(BicoloredGraph(g, f), cw.word) == BicoloredGraph(g, t)
         verify_certificate(g, cw)
+
+
+@pytest.mark.parametrize("n", [*range(2, 7), pytest.param(7, marks=pytest.mark.slow)])
+def test_transform_stays_within_4n_minus_2_on_every_small_class(n):
+    # every connected class and every nonempty flip set: 7,814 pairs for
+    # n = 2..6 and 108,331 at n = 7, all well under floor((11n-3)/2)
+    from locinv.oracle import connected_graphs
+
+    plus = all_plus(n)
+    for g in connected_graphs(n):
+        for s in range(1, 1 << n):
+            to = tuple(-c if (s >> v) & 1 else c for v, c in enumerate(plus))
+            assert len(transform_word(g, plus, to).word) <= 4 * n - 2, (g.edges(), s)
 
 
 def test_transform_disconnected_graph():
