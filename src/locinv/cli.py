@@ -166,6 +166,11 @@ def _parse_labels(raw: str | None, n: int) -> list[str] | None:
     labels = [s.strip() for s in raw.split(",")]
     if len(labels) != n or any(not s for s in labels):
         raise ValueError(f"--labels needs {n} comma-separated names")
+    seen: set[str] = set()
+    for s in labels:
+        if s in seen:
+            raise ValueError(f"--labels names must be distinct, got {s!r} twice")
+        seen.add(s)
     return labels
 
 
@@ -191,12 +196,9 @@ def _load_graph(path: str) -> Graph:
 # -- commands -----------------------------------------------------------
 
 
-def _print_certificate(cw: CertifiedWord, labels: list[str] | None, reduce_flag: bool) -> None:
-    word = cw.reduced if reduce_flag else cw.word
-    print(f"word: {_render_word(word, labels)}")
-    print(f"length: {len(word)}")
-    if reduce_flag:
-        print(f"unreduced-length: {len(cw.word)}")
+def _print_certificate(cw: CertifiedWord, labels: list[str] | None) -> None:
+    print(f"word: {_render_word(cw.word, labels)}")
+    print(f"length: {len(cw.word)}")
     print(f"bound: {cw.bound}")
 
 
@@ -204,7 +206,7 @@ def _cmd_reverse(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     labels = _parse_labels(args.labels, g.n)
     cw = color_reversal_word(g)
-    _print_certificate(cw, labels, args.reduce)
+    _print_certificate(cw, labels)
     if args.verify:
         print(VERIFIED)
     return 0
@@ -216,7 +218,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     from_colors = parse_colors(args.from_colors, g.n)
     to_colors = parse_colors(args.to_colors, g.n)
     cw = transform_word(g, from_colors, to_colors)
-    _print_certificate(cw, labels, args.reduce)
+    _print_certificate(cw, labels)
     print(f"strategy: {cw.construction.removeprefix('transform/')}")
     if args.verify:
         # the builder's replay proved the word flips exactly target_flip, so
@@ -339,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("reverse", help="synthesize a whole-graph color reversal word")
     p.add_argument("-i", "--input", required=True, help="edge-list file")
-    p.add_argument("--reduce", action="store_true", help="print the freely reduced word")
     p.add_argument("--verify", action="store_true", help="check the word by exact replay")
     p.add_argument("--labels", help="comma-separated vertex names for word output")
     p.set_defaults(func=_cmd_reverse)
@@ -348,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", required=True, help="edge-list file")
     p.add_argument("--from", dest="from_colors", required=True, metavar="COLORS")
     p.add_argument("--to", dest="to_colors", required=True, metavar="COLORS")
-    p.add_argument("--reduce", action="store_true")
     p.add_argument("--verify", action="store_true", help="check the word by exact replay")
     p.add_argument("--labels")
     p.set_defaults(func=_cmd_transform)

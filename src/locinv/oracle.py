@@ -354,12 +354,14 @@ def survey(n_max: int, *, graph6_lines: Iterable[str] | None = None, jobs: int =
     ``n_max`` vertices) and from internal isomorphism-free enumeration
     otherwise, and reach :func:`exact_cr` as :class:`Graph` values.
     Workers share nothing; results keep input order, so the output is
-    deterministic for fixed inputs.  ``jobs`` is capped at the CPU count,
-    since more workers than cores only add processes; the process pool
-    is imported only when ``jobs > 1``.
+    deterministic for fixed inputs.  ``jobs`` below 1 raises ValueError;
+    more are capped at the CPU count, since more workers than cores only
+    add processes.  The process pool is imported only when ``jobs > 1``.
     """
     if n_max > MAX_CAP:
         raise CapExceededError(f"n_max {n_max} exceeds the search cap {MAX_CAP}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if graph6_lines is not None:
         graphs = [g for g in map(parse_graph6, graph6_lines) if g.n <= n_max]
     else:

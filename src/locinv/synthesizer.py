@@ -76,9 +76,9 @@ class CertifiedWord:
 
     ``word`` flips exactly ``target_flip`` and restores the underlying
     graph; ``len(word) <= bound`` always holds, and ``construction`` names
-    the synthesis path that produced it.  Words are emitted unreduced so
-    that fixture strings match letter for letter; ``reduced`` gives the
-    freely reduced variant, which certifies the same claim.
+    the synthesis path that produced it.  Builders return the word freely
+    reduced: every letter is an involution, so cancelling two equal
+    neighbours never changes what the word certifies.
     """
 
     word: Word
@@ -92,10 +92,6 @@ class CertifiedWord:
                 f"{self.construction}: word of length {len(self.word)} exceeds bound {self.bound}",
                 witness={"word": self.word, "bound": self.bound},
             )
-
-    @property
-    def reduced(self) -> Word:
-        return reduce_word(self.word)
 
 
 # -- constant gadgets ---------------------------------------------------
@@ -273,8 +269,8 @@ def color_reversal_word(g: Graph) -> CertifiedWord:
     word, an even subgraph reversal, or an odd subgraph reversal.  The
     certified bound is 4n-4 for a connected even-order graph, 4n-3 for odd
     order, and 4n-3t for t >= 2 components.  Isolated vertices make the
-    task unsatisfiable.  The word is checked with :func:`verify_certificate`
-    before it is returned.
+    task unsatisfiable.  The joined word is freely reduced, then checked
+    with :func:`verify_certificate` before it is returned.
     """
     for v in range(g.n):
         if g.rows[v] == 0:
@@ -287,7 +283,7 @@ def color_reversal_word(g: Graph) -> CertifiedWord:
         bound = 0 if g.n == 0 else (4 * g.n - 4 if g.n % 2 == 0 else 4 * g.n - 3)
     else:
         bound = 4 * g.n - 3 * len(comps)
-    cw = CertifiedWord(tuple(parts), frozenset(range(g.n)), bound, "full-reversal")
+    cw = CertifiedWord(reduce_word(parts), frozenset(range(g.n)), bound, "full-reversal")
     verify_certificate(g, cw)
     return cw
 
@@ -359,11 +355,12 @@ def transform_word(g: Graph, from_colors: Sequence[int], to_colors: Sequence[int
 
     Per component, two strategies are realized and the shorter word wins:
     flip the disagreement set directly, or flip the agreement set and then
-    reverse the whole component.  The certified bound is
-    floor((11n-3)/2) for connected ``g`` and floor((11n-3t)/2) for t
-    components; exceeding it raises :class:`BoundExceededError` with a
-    witness rather than returning a broken certificate, and a word that
-    fails :func:`verify_certificate` raises :class:`VerificationError`.
+    reverse the whole component; the joined word is freely reduced.  The
+    certified bound is floor((11n-3)/2) for connected ``g`` and
+    floor((11n-3t)/2) for t components; exceeding it raises
+    :class:`BoundExceededError` with a witness rather than returning a
+    broken certificate, and a word that fails :func:`verify_certificate`
+    raises :class:`VerificationError`.
     """
     BicoloredGraph(g, tuple(from_colors))
     BicoloredGraph(g, tuple(to_colors))
@@ -386,7 +383,7 @@ def transform_word(g: Graph, from_colors: Sequence[int], to_colors: Sequence[int
     t = max(len(comps), 1)
     bound = (11 * g.n - 3 * t) // 2 if g.n else 0
     strategy = tags.pop() if len(tags) == 1 else ("mixed" if tags else "fix-V1")
-    word = tuple(parts)
+    word = reduce_word(parts)
     if len(word) > bound:
         raise BoundExceededError(
             f"transform word of length {len(word)} exceeds bound {bound}",

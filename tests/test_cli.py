@@ -289,11 +289,38 @@ def test_reverse_command(p3_file, capsys):
     assert "verification: ok" in out
 
 
-def test_reverse_with_labels_and_reduce(p3_file, capsys):
-    assert main(["reverse", "-i", p3_file, "--labels", "a,b,c", "--reduce"]) == 0
-    out = capsys.readouterr().out
-    assert "word: a,b,a,c,a,c,b,c,b" in out
-    assert "unreduced-length: 9" in out
+def test_reverse_with_labels(p3_file, capsys):
+    assert main(["reverse", "-i", p3_file, "--labels", "a,b,c"]) == 0
+    assert capsys.readouterr().out == "word: a,b,a,c,a,c,b,c,b\nlength: 9\nbound: 9\n"
+
+
+@pytest.mark.parametrize("labels", ["a,a,b", "b, a ,a"])
+@pytest.mark.parametrize("command", ["reverse", "transform", "gadget"])
+def test_repeated_label_names_are_refused(p3_file, capsys, command, labels):
+    # a word over repeated names cannot be read back as vertices
+    if command == "gadget":
+        argv = ["gadget", "triangle", "0", "1", "2"]
+    else:
+        argv = [command, "-i", p3_file, *P3_COLORS[command]]
+    assert main([*argv, "--labels", labels]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --labels names must be distinct, got 'a' twice\n"
+
+
+@pytest.mark.parametrize("command", ["reverse", "transform"])
+def test_the_reduce_option_is_gone(p3_file, capsys, monkeypatch, command):
+    # every printed word is already freely reduced
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-i", p3_file, *P3_COLORS[command], "--reduce"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "usage: locinv [-h] {reverse,transform,apply,exact,survey,gadget} ...\n"
+        "locinv: error: unrecognized arguments: --reduce\n"
+    )
 
 
 def test_reverse_unsatisfiable_exit_code(tmp_path, capsys):
@@ -701,6 +728,14 @@ def test_survey_jobs_flag(capsys):
     assert main(["survey", "--max-n", "3", "--jobs", "2"]) == 0
     parallel = capsys.readouterr().out
     assert serial == parallel
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_survey_refuses_jobs_below_one(capsys, jobs):
+    assert main(["survey", "--max-n", "2", "--jobs", jobs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: jobs must be at least 1, got {jobs}\n"
 
 
 def test_survey_graph6_file(tmp_path, capsys):

@@ -112,13 +112,12 @@ def graph_path(tmp_path_factory):
 
 
 @FUZZ
-@given(case=edge_list_docs(), data=st.data(), verify=st.booleans(), reduce=st.booleans())
-def test_reverse_never_raises(graph_path, case, data, verify, reduce):
+@given(case=edge_list_docs(), data=st.data(), verify=st.booleans())
+def test_reverse_never_raises(graph_path, case, data, verify):
     doc, n = case
     graph_path.write_text(doc, encoding="utf-8")
     labels = data.draw(labels_for(n))
-    argv = ["reverse", "-i", str(graph_path)]
-    argv += ["--verify"] * verify + ["--reduce"] * reduce
+    argv = ["reverse", "-i", str(graph_path)] + ["--verify"] * verify
     if labels is not None:
         argv += ["--labels", labels]
     run_main(argv)

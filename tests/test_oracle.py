@@ -428,6 +428,16 @@ def test_survey_rejects_over_cap():
         survey(9)
 
 
+@pytest.mark.parametrize("jobs", [0, -4])
+def test_survey_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError) as exc:
+        survey(2, jobs=jobs)
+    assert str(exc.value) == f"jobs must be at least 1, got {jobs}"
+    # the vertex ceiling is checked first
+    with pytest.raises(CapExceededError):
+        survey(9, jobs=jobs)
+
+
 def test_survey_with_graph6_input():
     from locinv.graph6 import emit_graph6
 

@@ -442,14 +442,17 @@ def test_transform_random():
 @pytest.mark.parametrize("n", [*range(2, 7), pytest.param(7, marks=pytest.mark.slow)])
 def test_transform_stays_within_4n_minus_2_on_every_small_class(n):
     # every connected class and every nonempty flip set: 7,814 pairs for
-    # n = 2..6 and 108,331 at n = 7, all well under floor((11n-3)/2)
+    # n = 2..6 and 108,331 at n = 7, all well under floor((11n-3)/2), and
+    # every word comes out freely reduced
     from locinv.oracle import connected_graphs
 
     plus = all_plus(n)
     for g in connected_graphs(n):
         for s in range(1, 1 << n):
             to = tuple(-c if (s >> v) & 1 else c for v, c in enumerate(plus))
-            assert len(transform_word(g, plus, to).word) <= 4 * n - 2, (g.edges(), s)
+            w = transform_word(g, plus, to).word
+            assert len(w) <= 4 * n - 2, (g.edges(), s)
+            assert reduce_word(w) == w, (g.edges(), s)
 
 
 def test_transform_disconnected_graph():
@@ -474,12 +477,13 @@ def test_transform_isolated_vertex():
 
 def test_transform_star_recolor_leaves_stays_in_bound():
     # recoloring all leaves of a star: paired path-ends gadgets keep the
-    # word well under the certified bound
+    # word well under the certified bound; the two gadgets meet at the
+    # centre, whose letters cancel
     g = Graph.star(5)
     f = all_plus(5)
     t = (1, -1, -1, -1, -1)
     cw = transform_word(g, f, t)
-    assert len(cw.word) == 16 <= cw.bound
+    assert len(cw.word) == 14 <= cw.bound
     assert apply_word(BicoloredGraph(g, f), cw.word) == BicoloredGraph(g, t)
 
 
@@ -559,12 +563,12 @@ def test_certificate_bound_is_enforced():
 
 def test_reduction_can_shorten_reversal_words():
     # consecutive path-ends gadgets around a high-degree center share their
-    # boundary letter, which cancels under free reduction
+    # boundary letter, which the builder cancels: 26 letters, not 28
     g = Graph.star(8)
     cw = color_reversal_word(g)
-    assert len(cw.reduced) < len(cw.word)
-    reduced = CertifiedWord(cw.reduced, cw.target_flip, cw.bound, cw.construction)
-    verify_certificate(g, reduced)
+    assert len(cw.word) == 26
+    assert all(x != y for x, y in zip(cw.word, cw.word[1:]))
+    verify_certificate(g, cw)
 
 
 def test_certificate_reduction_stability():
@@ -573,8 +577,8 @@ def test_certificate_reduction_stability():
         n = rng.randint(2, 10)
         g = random_connected_graph(rng, n)
         cw = color_reversal_word(g)
-        reduced = CertifiedWord(cw.reduced, cw.target_flip, cw.bound, cw.construction)
-        verify_certificate(g, reduced)
+        assert cw.word == reduce_word(cw.word)
+        verify_certificate(g, cw)
 
 
 def test_synthesis_is_deterministic():

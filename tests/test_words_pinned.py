@@ -19,7 +19,7 @@ import json
 import os
 import random
 
-from locinv.graph_core import Graph, component_masks
+from locinv.graph_core import Graph, component_masks, reduce_word
 from locinv.synthesizer import color_reversal_word, transform_word
 
 from helpers import random_connected_graph
@@ -108,6 +108,9 @@ def test_pinned_file_covers_every_shape():
     }
     assert min(r["n"] for r in records) == 2
     assert max(r["n"] for r in records) == 40
+    for r in records:
+        assert reduce_word(r["reverse"]) == tuple(r["reverse"]), r["seed"]
+        assert reduce_word(r["transform"]) == tuple(r["transform"]), r["seed"]
 
 
 if __name__ == "__main__":
