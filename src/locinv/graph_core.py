@@ -18,16 +18,83 @@ same encoding.  A local complementation costs O(deg) integer operations.
 application; it also yields the flipped set, which does not depend on the
 starting coloring.  :func:`component_masks` is the one loop that splits a
 vertex mask into connected components.  All values are immutable;
-operations return new values.
+operations return new values.  :class:`_Record` is the slotted base of
+every record type in the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
 Coloring = tuple[int, ...]
+
+
+class _Record:
+    """Immutable record whose fields are its ``__slots__``, in order.
+
+    Construction takes the fields by position or keyword, sets them and
+    then runs the ``__post_init__`` hook (validation, normalisation).
+    Equality is by type and fields, the hash is that of the field tuple,
+    and the repr reads ``Name(field=value, ...)``.  Pickling and copying
+    rebuild through the constructor, so the hook runs again.  Assignment
+    and deletion raise :class:`AttributeError`; the hook and a trusted
+    constructor set fields with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        names = self.__slots__
+        where = f"{type(self).__name__}()"
+        if len(args) > len(names):
+            raise TypeError(f"{where} takes {len(names)} arguments but {len(args)} were given")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{where} got an unexpected keyword argument {name!r}")
+            if name in values:
+                raise TypeError(f"{where} got multiple values for argument {name!r}")
+            values[name] = value
+        missing = [name for name in names if name not in values]
+        if missing:
+            raise TypeError(f"{where} missing required arguments: {', '.join(map(repr, missing))}")
+        return [values[name] for name in names]
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -69,8 +136,7 @@ def _check_count(n: int) -> None:
         raise ValueError(f"expected {n} adjacency rows, got 0")
 
 
-@dataclass(frozen=True, slots=True)
-class Graph:
+class Graph(_Record):
     """Simple undirected labeled graph on vertices ``0..n-1``.
 
     ``rows[u]`` is the bitmask of neighbors of ``u``.  The relation is kept
@@ -79,6 +145,7 @@ class Graph:
     operations build rows that hold this by construction and skip the check.
     """
 
+    __slots__ = ("n", "rows")
     n: int
     rows: tuple[int, ...]
 
@@ -216,10 +283,10 @@ def all_plus(n: int) -> Coloring:
     return (1,) * n
 
 
-@dataclass(frozen=True, slots=True)
-class BicoloredGraph:
+class BicoloredGraph(_Record):
     """A graph together with a coloring in {-1, +1} per vertex."""
 
+    __slots__ = ("graph", "coloring")
     graph: Graph
     coloring: Coloring
 

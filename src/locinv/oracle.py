@@ -29,7 +29,6 @@ alone has 2^n entries.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Iterator, Sequence
 
@@ -38,6 +37,7 @@ from .graph_core import (
     BicoloredGraph,
     Graph,
     Word,
+    _Record,
     all_plus,
     flip,
     iter_bits,
@@ -238,10 +238,10 @@ def min_flip_word(b: BicoloredGraph, target: BicoloredGraph) -> tuple[int, Word]
 # -- reports ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class CrReport:
+class CrReport(_Record):
     """Exact color reversal data for one graph, with the synthesized word for comparison."""
 
+    __slots__ = ("graph_id", "n", "exact_cr", "witness", "synthesized_length", "bound")
     graph_id: str
     n: int
     exact_cr: int | None
@@ -375,8 +375,8 @@ def survey(n_max: int, *, graph6_lines: Iterable[str] | None = None, jobs: int =
         return list(pool.map(exact_cr, graphs))
 
 
-@dataclass(frozen=True, slots=True)
-class SurveySummary:
+class SurveySummary(_Record):
+    __slots__ = ("graphs", "max_cr", "max_ratio", "violations")
     graphs: int
     max_cr: int | None
     max_ratio: float | None

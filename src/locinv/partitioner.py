@@ -30,10 +30,9 @@ break toward smaller vertex ids throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .graph_core import Graph, component_masks, iter_bits, mask_of, reachable_mask
+from .graph_core import Graph, _Record, component_masks, iter_bits, mask_of, reachable_mask
 
 Edge = tuple[int, int]
 
@@ -42,14 +41,14 @@ def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True, slots=True)
-class RootedTree:
+class RootedTree(_Record):
     """A tree on an arbitrary vertex set with a distinguished root.
 
     The constructor sorts the edges and checks that they span the vertex
     set as a tree; :meth:`rows` gives the tree's neighbour bitmasks.
     """
 
+    __slots__ = ("vertices", "edges", "root")
     vertices: frozenset[int]
     edges: tuple[Edge, ...]
     root: int
@@ -82,13 +81,13 @@ class RootedTree:
         return all(row.bit_count() & 1 for row in self.rows().values())
 
 
-@dataclass(frozen=True, slots=True)
-class EdgePartition:
+class EdgePartition(_Record):
     """Edges of an odd tree split into (end, center, end) triples plus one edge.
 
     The single edge keeps the root as its first entry.
     """
 
+    __slots__ = ("p3s", "k2")
     p3s: tuple[tuple[int, int, int], ...]
     k2: Edge
 

@@ -46,7 +46,6 @@ gadget's inverse and flips the same vertex.  The public entry points are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BoundExceededError, UnsatisfiableError, VerificationError
@@ -54,6 +53,7 @@ from .graph_core import (
     BicoloredGraph,
     Graph,
     Word,
+    _Record,
     apply_word,  # noqa: F401  module attribute wrapped by bench/tracer.py
     component_masks,
     iter_bits,
@@ -70,8 +70,7 @@ from .partitioner import (  # noqa: F401  p3_partition, perfect_forest: wrapped 
 )
 
 
-@dataclass(frozen=True, slots=True)
-class CertifiedWord:
+class CertifiedWord(_Record):
     """A word plus the claim it certifies.
 
     ``word`` flips exactly ``target_flip`` and restores the underlying
@@ -81,6 +80,7 @@ class CertifiedWord:
     neighbours never changes what the word certifies.
     """
 
+    __slots__ = ("word", "target_flip", "bound", "construction")
     word: Word
     target_flip: frozenset[int]
     bound: int
@@ -137,10 +137,15 @@ def _vertex_gadget(rows: Sequence[int], a: int, allowed: int) -> Word | None:
         third = rows[b] & nb & ~((2 << b) - 1)
         if third:
             return gadget_triangle(a, b, (third & -third).bit_length() - 1)
-    for b in iter_bits(allowed & ~row_a & ~(1 << a)):
+    # the vertices two steps from a through the mask, outside N[a]
+    reach = 0
+    for c in iter_bits(nb):
+        reach |= rows[c]
+    far = reach & allowed & ~row_a & ~(1 << a)
+    if far:
+        b = (far & -far).bit_length() - 1
         common = rows[b] & nb
-        if common:
-            return gadget_p3_end(a, b, (common & -common).bit_length() - 1)
+        return gadget_p3_end(a, b, (common & -common).bit_length() - 1)
     return None
 
 
@@ -328,12 +333,15 @@ def _flip_set_word(rows: Sequence[int], s: int) -> Word:
     while pending:
         u = (pending & -pending).bit_length() - 1
         pending ^= 1 << u
-        for v in iter_bits(pending):
+        partners = 0
+        for c in iter_bits(rows[u]):
+            partners |= rows[c]
+        partners &= pending
+        if partners:
+            v = (partners & -partners).bit_length() - 1
+            pending ^= 1 << v
             common = rows[u] & rows[v]
-            if common:
-                pending ^= 1 << v
-                parts.extend(gadget_p3_ends(u, v, (common & -common).bit_length() - 1))
-                break
+            parts.extend(gadget_p3_ends(u, v, (common & -common).bit_length() - 1))
         else:
             parts.extend(_vertex_gadget(rows, u, (1 << len(rows)) - 1))
     return tuple(parts)
@@ -342,7 +350,11 @@ def _flip_set_word(rows: Sequence[int], s: int) -> Word:
 def _transform_component(rows: Sequence[int], comp: int, diff: int) -> tuple[Word, str]:
     """Recoloring word and strategy for the component mask ``comp`` and its disagreement mask ``diff``."""
     fix = _flip_set_word(rows, diff)
-    if diff == comp:
+    # alt ends with a reversal word of the piece, and for k >= 3 vertices that
+    # has at least 3k letters (9 for three, 6 per K2 and 4k'-4 >= 3k' per odd
+    # tree of an even piece, 3(k-1) - 1 + 6 for an odd one), so it cannot win
+    k = comp.bit_count()
+    if diff == comp or (k >= 3 and len(fix) <= 3 * k):
         return fix, "fix-V1"
     alt = _flip_set_word(rows, comp & ~diff) + _reverse_component_word(rows, comp)
     if len(fix) <= len(alt):

@@ -12,8 +12,9 @@ import random
 from collections import deque
 from itertools import permutations, product
 
+import locinv.synthesizer as synth
 from locinv.cli import main
-from locinv.graph_core import BicoloredGraph, Graph, iter_bits, reachable_mask, upper_rows
+from locinv.graph_core import BicoloredGraph, Graph, component_masks, iter_bits, reachable_mask, upper_rows
 from locinv.partitioner import Edge, EdgePartition, RootedTree
 
 
@@ -230,6 +231,63 @@ def connected_graphs_reference(n: int):
                 break
         if not smaller:
             yield Graph(n, tuple(rows))
+
+
+def vertex_gadget_reference(rows, a: int, allowed: int):
+    """``_vertex_gadget`` with the path branch as a scan over every candidate b."""
+    row_a = rows[a]
+    nb = row_a & allowed
+    for b in iter_bits(nb):
+        third = rows[b] & nb & ~((2 << b) - 1)
+        if third:
+            return synth.gadget_triangle(a, b, (third & -third).bit_length() - 1)
+    for b in iter_bits(allowed & ~row_a & ~(1 << a)):
+        common = rows[b] & nb
+        if common:
+            return synth.gadget_p3_end(a, b, (common & -common).bit_length() - 1)
+    return None
+
+
+def flip_set_word_reference(rows, s: int):
+    """``_flip_set_word`` with the isolate pairing as a scan over the later pending vertices."""
+    parts: list[int] = []
+    isolates = 0
+    for comp in component_masks(rows, s):
+        m = comp.bit_count()
+        if m == 1:
+            isolates |= comp
+        elif m == 2 and any(rows[v] & ~comp for v in iter_bits(comp)):
+            parts.extend(synth.gadget_edge(*iter_bits(comp)))
+        else:
+            parts.extend(synth._reverse_component_word(rows, comp))
+    pending = 0
+    for u in iter_bits(isolates):
+        x = synth._pendant_neighbor(rows, u)
+        if x is None:
+            pending |= 1 << u
+        else:
+            parts.append(x)
+    while pending:
+        u = (pending & -pending).bit_length() - 1
+        pending ^= 1 << u
+        for v in iter_bits(pending):
+            common = rows[u] & rows[v]
+            if common:
+                pending ^= 1 << v
+                parts.extend(synth.gadget_p3_ends(u, v, (common & -common).bit_length() - 1))
+                break
+        else:
+            parts.extend(vertex_gadget_reference(rows, u, (1 << len(rows)) - 1))
+    return tuple(parts)
+
+
+def transform_component_reference(rows, comp: int, diff: int):
+    """``_transform_component`` building both strategies' words every time."""
+    fix = synth._flip_set_word(rows, diff)
+    if diff == comp:
+        return fix, "fix-V1"
+    alt = synth._flip_set_word(rows, comp & ~diff) + synth._reverse_component_word(rows, comp)
+    return (fix, "fix-V1") if len(fix) <= len(alt) else (alt, "flip-V0-then-all")
 
 
 def perfect_forest_reference(g: Graph) -> tuple[tuple[Edge, ...], ...]:

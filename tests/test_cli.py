@@ -472,18 +472,19 @@ print(codes)
 
 def test_importing_the_cli_loads_no_process_pool():
     # only survey --jobs N with N > 1 needs a pool; every other command
-    # starts without concurrent.futures or multiprocessing
+    # starts without concurrent.futures or multiprocessing.  The records are
+    # slotted classes, so neither the package nor the command line pays for
+    # dataclasses and the inspect module it pulls in
     src = os.path.dirname(os.path.dirname(os.path.abspath(locinv.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = (
-        "import sys, locinv.cli; "
-        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True,
-    )
-    assert out.stdout == "[]\n"
+    unwanted = ("concurrent.futures", "dataclasses", "inspect", "multiprocessing")
+    for module in ("locinv", "locinv.cli"):
+        code = f"import sys, {module}; print(sorted(m for m in {unwanted!r} if m in sys.modules))"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert out.stdout == "[]\n", module
 
 
 def test_the_package_root_exports_the_readme_api():

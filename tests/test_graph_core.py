@@ -1,5 +1,7 @@
 """Tests for the inversion calculus."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -19,6 +21,11 @@ from locinv.graph_core import (
     reduce_word,
     replay,
 )
+
+from locinv.errors import BoundExceededError
+from locinv.oracle import CrReport, SurveySummary
+from locinv.partitioner import EdgePartition, RootedTree
+from locinv.synthesizer import CertifiedWord
 
 from helpers import induced_subgraph, local_complement_reference, random_coloring, random_graph
 
@@ -71,6 +78,72 @@ def test_public_constructor_still_validates_everything():
     for build in (lambda: Graph.from_edges(-1, []), lambda: Graph.from_upper_bits(-2, 0)):
         with pytest.raises(ValueError, match="expected -[12] adjacency rows, got 0"):
             build()
+
+
+# one record of each type: its fields, its repr as the dataclasses gave it,
+# and fields its validation refuses (None where it has none) with the message
+RECORDS = [
+    (Graph, (3, (2, 5, 2)), "Graph(n=3, rows=(2, 5, 2))", ((2, (1, 0)), ValueError, "loop at vertex 0")),
+    (
+        BicoloredGraph,
+        (Graph(2, (2, 1)), (1, -1)),
+        "BicoloredGraph(graph=Graph(n=2, rows=(2, 1)), coloring=(1, -1))",
+        ((Graph(2, (2, 1)), (1, 0)), ValueError, "color of vertex 1 is 0, expected -1 or +1"),
+    ),
+    (
+        RootedTree,
+        (frozenset({1, 2, 3}), ((1, 2), (1, 3)), 1),
+        "RootedTree(vertices=frozenset({1, 2, 3}), edges=((1, 2), (1, 3)), root=1)",
+        ((frozenset({1, 2}), ((1, 2),), 5), ValueError, "root 5 not among the tree vertices"),
+    ),
+    (EdgePartition, (((0, 1, 2),), (1, 3)), "EdgePartition(p3s=((0, 1, 2),), k2=(1, 3))", None),
+    (
+        CertifiedWord,
+        ((0, 1, 0), frozenset({1}), 9, "t"),
+        "CertifiedWord(word=(0, 1, 0), target_flip=frozenset({1}), bound=9, construction='t')",
+        (((0, 1, 0), frozenset(), 2, "c"), BoundExceededError, "c: word of length 3 exceeds bound 2"),
+    ),
+    (
+        CrReport,
+        ("Bw", 3, 9, (0, 1, 2), 9, 9),
+        "CrReport(graph_id='Bw', n=3, exact_cr=9, witness=(0, 1, 2), synthesized_length=9, bound=9)",
+        None,
+    ),
+    (
+        SurveySummary,
+        (2, 9, 0.5, ("x",)),
+        "SurveySummary(graphs=2, max_cr=9, max_ratio=0.5, violations=('x',))",
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text, refused", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_records_are_immutable_values(cls, fields, text, refused):
+    x = cls(*fields)
+    assert repr(x) == text
+    assert x == cls(*fields) and hash(x) == hash(cls(*fields)) == hash(fields)
+    other_cls, other_fields = next((c, f) for c, f, _, _ in RECORDS if c is not cls)
+    assert x != other_cls(*other_fields) and x != fields
+    with pytest.raises(AttributeError):
+        setattr(x, cls.__slots__[0], fields[0])
+    with pytest.raises(AttributeError):
+        delattr(x, cls.__slots__[-1])
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    assert pickle.loads(pickle.dumps(x)) == x and copy.copy(x) == x and copy.deepcopy(x) == x
+    assert cls(**dict(zip(cls.__slots__, fields))) == x
+    with pytest.raises(TypeError, match="missing"):
+        cls(*fields[:-1])
+    with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+        cls(*fields, extra=1)
+    with pytest.raises(TypeError, match="multiple values"):
+        cls(*fields, **{cls.__slots__[0]: fields[0]})
+    if refused is not None:
+        bad, error, message = refused
+        with pytest.raises(error) as info:
+            cls(*bad)
+        assert str(info.value) == message
 
 
 def test_coloring_validation():

@@ -35,7 +35,15 @@ from locinv.synthesizer import (
     verify_certificate,
 )
 
-from helpers import random_coloring, random_connected_graph, random_graph, random_odd_tree
+from helpers import (
+    flip_set_word_reference,
+    random_coloring,
+    random_connected_graph,
+    random_graph,
+    random_odd_tree,
+    transform_component_reference,
+    vertex_gadget_reference,
+)
 
 
 def petersen() -> Graph:
@@ -234,6 +242,27 @@ def test_vertex_gadget_takes_the_first_triangle_then_the_first_induced_path():
             else:
                 expected = None
             assert synth._vertex_gadget(g.rows, a, allowed) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_vertex_gadget_and_isolate_pairing_match_the_scans(n, data):
+    # the two-step masks pick the same b and the same partner as a scan over
+    # every candidate vertex
+    bits = data.draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
+    rows = Graph.from_upper_bits(n, bits).rows
+    allowed = data.draw(st.integers(0, (1 << n) - 1))
+    s = data.draw(st.integers(0, (1 << n) - 1))
+    for a in range(n):
+        assert synth._vertex_gadget(rows, a, allowed | 1 << a) == vertex_gadget_reference(rows, a, allowed | 1 << a)
+    s &= sum(1 << v for v in range(n) if rows[v])  # an isolated vertex has no flip word
+    assert synth._flip_set_word(rows, s) == flip_set_word_reference(rows, s)
+    # an independent flip set is all isolates, so most of it goes to the pairing
+    independent = 0
+    for v in range(n):
+        if (s >> v) & 1 and not rows[v] & independent:
+            independent |= 1 << v
+    assert synth._flip_set_word(rows, independent) == flip_set_word_reference(rows, independent)
 
 
 def test_paired_isolates_build_no_single_flip_word(monkeypatch):
@@ -453,6 +482,28 @@ def test_transform_stays_within_4n_minus_2_on_every_small_class(n):
             w = transform_word(g, plus, to).word
             assert len(w) <= 4 * n - 2, (g.edges(), s)
             assert reduce_word(w) == w, (g.edges(), s)
+
+
+@pytest.mark.parametrize("n", [*range(3, 7), pytest.param(7, marks=pytest.mark.slow)])
+def test_every_reversal_word_of_three_or_more_vertices_has_3n_letters(n):
+    # the floor that lets _transform_component skip the flip-V0-then-all word
+    from locinv.oracle import connected_graphs
+
+    full = (1 << n) - 1
+    for g in connected_graphs(n):
+        assert len(synth._reverse_component_word(g.rows, full)) >= 3 * n, g.edges()
+
+
+def test_transform_component_matches_building_both_words():
+    # every connected class with 2 <= n <= 5 and every nonempty flip set
+    from locinv.oracle import connected_graphs
+
+    for n in range(2, 6):
+        full = (1 << n) - 1
+        for g in connected_graphs(n):
+            for diff in range(1, full + 1):
+                got = synth._transform_component(g.rows, full, diff)
+                assert got == transform_component_reference(g.rows, full, diff), (g.edges(), diff)
 
 
 def test_transform_disconnected_graph():
