@@ -16,10 +16,10 @@ set when ``uv`` is an edge), and a vertex set is an ``int`` mask in the
 same encoding.  A local complementation costs O(deg) integer operations.
 :func:`replay` is the one word-replay loop, behind every move and word
 application; it also yields the flipped set, which does not depend on the
-starting coloring.  :func:`component_masks` is the one loop that splits a
-vertex mask into connected components.  All values are immutable;
-operations return new values.  :class:`_Record` is the slotted base of
-every record type in the package.
+starting coloring.  :func:`bfs_layers` is the one breadth-first loop, and
+:func:`component_masks` the one that splits a vertex mask into connected
+components.  All values are immutable; operations return new values.
+:class:`_Record` is the slotted base of every record type in the package.
 """
 
 from __future__ import annotations
@@ -247,19 +247,27 @@ class Graph(_Record):
 # -- connectivity helpers ---------------------------------------------
 
 
-def reachable_mask(rows: Sequence[int], start: int, within: int) -> int:
-    """Bitmask of vertices reachable from ``start`` inside the mask ``within``.
+def bfs_layers(rows: Sequence[int], start: int, within: int) -> Iterator[int]:
+    """Breadth-first layers from ``start`` inside the mask ``within``, as vertex masks.
 
-    ``rows`` are adjacency rows as in :attr:`Graph.rows`.
+    The first is ``1 << start``, each later one the union of ``rows[v]`` over
+    the previous layer, inside ``within``, less all earlier layers.
     """
-    seen = 1 << start
-    frontier = seen
-    while frontier:
+    seen = layer = 1 << start
+    while layer:
+        yield layer
         nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= rows[v] & within
-        frontier = nxt & ~seen
-        seen |= frontier
+        for v in iter_bits(layer):
+            nxt |= rows[v]
+        layer = nxt & within & ~seen
+        seen |= layer
+
+
+def reachable_mask(rows: Sequence[int], start: int, within: int) -> int:
+    """Bitmask of vertices reachable from ``start`` inside the mask ``within``."""
+    seen = 0
+    for layer in bfs_layers(rows, start, within):
+        seen |= layer
     return seen
 
 

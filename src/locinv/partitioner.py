@@ -30,9 +30,10 @@ break toward smaller vertex ids throughout.
 
 from __future__ import annotations
 
+from itertools import takewhile
 from typing import Sequence
 
-from .graph_core import Graph, _Record, component_masks, iter_bits, mask_of, reachable_mask
+from .graph_core import Graph, _Record, bfs_layers, component_masks, iter_bits, mask_of, reachable_mask
 
 Edge = tuple[int, int]
 
@@ -97,25 +98,15 @@ def _p3_rows(rows: Sequence[int], tree: int, root: int) -> EdgePartition:
 
     ``tree`` must be an induced odd tree of ``rows``, so its edges are
     ``rows[v] & tree``.  This is the peel of :func:`p3_partition` read off
-    the BFS layers from the root: the vertices of the deepest layer are
-    leaves, and the deepest vertices next to a leaf are their parents one
-    layer up.  So the smallest such parent gives up its two smallest leaf
-    children as a triple, again and again, until it has none (every
-    non-root vertex has an even number of children), then the next parent
-    in increasing order, then the layer above.  The root keeps its largest
-    child, which forms the final edge.
+    the layers of :func:`locinv.graph_core.bfs_layers` from the root: the
+    vertices of the deepest layer are leaves, and the deepest vertices next
+    to a leaf are their parents one layer up.  So the smallest such parent
+    gives up its two smallest leaf children as a triple, again and again,
+    until it has none (every non-root vertex has an even number of
+    children), then the next parent in increasing order, then the layer
+    above.  The root keeps its largest child, which forms the final edge.
     """
-    layers = [1 << root]
-    seen = 1 << root
-    while True:
-        nxt = 0
-        for x in iter_bits(layers[-1]):
-            nxt |= rows[x]
-        nxt &= tree & ~seen
-        if not nxt:
-            break
-        seen |= nxt
-        layers.append(nxt)
+    layers = list(bfs_layers(rows, root, tree))
     triples: list[tuple[int, int, int]] = []
     for d in range(len(layers) - 1, 0, -1):
         below = layers[d]
@@ -169,7 +160,7 @@ def _odd_spanning_rows(rows: Sequence[int], within: int) -> list[int]:
     parent = [0] * len(rows)
     order = [root]
     seen = 1 << root
-    for x in order:  # order grows while it is read: a FIFO queue
+    for x in order:  # a growing FIFO queue, not bfs_layers: its parent order fixes the forest
         fresh = rows[x] & within & ~seen
         seen |= fresh
         for y in iter_bits(fresh):
@@ -189,18 +180,10 @@ def _odd_spanning_rows(rows: Sequence[int], within: int) -> list[int]:
 
 def _swap_chord(f: list[int], u: int, v: int) -> None:
     """Replace the forest path from ``u`` to ``v`` by the chord ``uv``, in place."""
-    layers = [1 << u]
-    seen = 1 << u
-    while not (layers[-1] >> v) & 1:
-        frontier = 0
-        for x in iter_bits(layers[-1]):
-            frontier |= f[x]
-        frontier &= ~seen
-        seen |= frontier
-        layers.append(frontier)
+    layers = list(takewhile(lambda layer: not (layer >> v) & 1, bfs_layers(f, u, -1)))
     # in a tree each vertex has one neighbour in the layer before its own
     x = v
-    for layer in reversed(layers[:-1]):
+    for layer in reversed(layers):
         back = f[x] & layer
         y = back.bit_length() - 1
         f[x] ^= 1 << y
@@ -217,16 +200,16 @@ def _forest_masks(rows: Sequence[int], within: int) -> list[int]:
     is a list of rows, one neighbour bitmask per vertex, and starts as
     :func:`_odd_spanning_rows`, which is acyclic with every degree odd.  A
     worklist holds vertex masks, each split into forest components by
-    :func:`locinv.graph_core.component_masks`.  A
-    component with a chord (a graph edge between two of its vertices that
-    is not a forest edge) takes its lexicographically first chord in place
-    of the tree path between the chord's ends; that keeps every degree
-    parity, drops at least one edge and splits the component, so the
-    component goes back on the worklist.  A component without a chord is an
-    induced odd tree, so its edges are ``rows[v] & mask``.  Swaps in one
-    component never touch another, so the result equals that of always
-    resolving the first chord of the component with the smallest vertex.
-    Trees come out ordered by smallest vertex.
+    :func:`locinv.graph_core.component_masks`.  A component with a chord (a
+    graph edge between two of its vertices that is not a forest edge) takes
+    its lexicographically first chord in place of the tree path between the
+    chord's ends, read off :func:`locinv.graph_core.bfs_layers` of the
+    forest; that keeps every degree parity, drops at least one edge and
+    splits the component, so the component goes back on the worklist.  A
+    component without a chord is an induced odd tree, so its edges are
+    ``rows[v] & mask``.  Swaps in one component never touch another, so the
+    result equals that of always resolving the first chord of the component
+    with the smallest vertex.  Trees come out ordered by smallest vertex.
 
     Raises :class:`RuntimeError` if a resulting tree is not induced, has a
     vertex of even degree, or has the wrong edge count; the check does not

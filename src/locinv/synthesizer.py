@@ -267,6 +267,25 @@ def _reverse_component_word(rows: Sequence[int], comp: int) -> Word:
     return _odd_subgraph_word(rows, comp)
 
 
+def _certify(
+    g: Graph, parts: list[int], target: frozenset, bound: int, tag: str, what: str, instance: dict
+) -> CertifiedWord:
+    """Reduce ``parts`` and certify the word on ``g``: the builders' one bound check.
+
+    A word over ``bound`` raises :class:`BoundExceededError` before any record
+    is built; its witness (``n``, ``edges``, ``instance``, ``word``) reruns the call.
+    """
+    word = reduce_word(parts)
+    if len(word) > bound:
+        raise BoundExceededError(
+            f"{what} of length {len(word)} exceeds bound {bound}",
+            witness={"n": g.n, "edges": g.edges(), **instance, "word": word},
+        )
+    cw = CertifiedWord(word, target, bound, tag)
+    verify_certificate(g, cw)
+    return cw
+
+
 def color_reversal_word(g: Graph) -> CertifiedWord:
     """Word flipping every vertex of ``g`` and restoring ``g``.
 
@@ -274,8 +293,9 @@ def color_reversal_word(g: Graph) -> CertifiedWord:
     word, an even subgraph reversal, or an odd subgraph reversal.  The
     certified bound is 4n-4 for a connected even-order graph, 4n-3 for odd
     order, and 4n-3t for t >= 2 components.  Isolated vertices make the
-    task unsatisfiable.  The joined word is freely reduced, then checked
-    with :func:`verify_certificate` before it is returned.
+    task unsatisfiable.  The joined word is freely reduced and checked by
+    :func:`_certify`, so a word over the bound raises
+    :class:`BoundExceededError` with the graph in its witness.
     """
     for v in range(g.n):
         if g.rows[v] == 0:
@@ -288,9 +308,7 @@ def color_reversal_word(g: Graph) -> CertifiedWord:
         bound = 0 if g.n == 0 else (4 * g.n - 4 if g.n % 2 == 0 else 4 * g.n - 3)
     else:
         bound = 4 * g.n - 3 * len(comps)
-    cw = CertifiedWord(reduce_word(parts), frozenset(range(g.n)), bound, "full-reversal")
-    verify_certificate(g, cw)
-    return cw
+    return _certify(g, parts, frozenset(range(g.n)), bound, "full-reversal", "full-reversal: word", {})
 
 
 # -- recoloring -------------------------------------------------------------
@@ -369,10 +387,10 @@ def transform_word(g: Graph, from_colors: Sequence[int], to_colors: Sequence[int
     flip the disagreement set directly, or flip the agreement set and then
     reverse the whole component; the joined word is freely reduced.  The
     certified bound is floor((11n-3)/2) for connected ``g`` and
-    floor((11n-3t)/2) for t components; exceeding it raises
-    :class:`BoundExceededError` with a witness rather than returning a
-    broken certificate, and a word that fails :func:`verify_certificate`
-    raises :class:`VerificationError`.
+    floor((11n-3t)/2) for t components; :func:`_certify` checks the word,
+    so exceeding the bound raises :class:`BoundExceededError` with a
+    witness rather than returning a broken certificate, and a word that
+    fails :func:`verify_certificate` raises :class:`VerificationError`.
     """
     BicoloredGraph(g, tuple(from_colors))
     BicoloredGraph(g, tuple(to_colors))
@@ -395,21 +413,10 @@ def transform_word(g: Graph, from_colors: Sequence[int], to_colors: Sequence[int
     t = max(len(comps), 1)
     bound = (11 * g.n - 3 * t) // 2 if g.n else 0
     strategy = tags.pop() if len(tags) == 1 else ("mixed" if tags else "fix-V1")
-    word = reduce_word(parts)
-    if len(word) > bound:
-        raise BoundExceededError(
-            f"transform word of length {len(word)} exceeds bound {bound}",
-            witness={
-                "n": g.n,
-                "edges": g.edges(),
-                "from": tuple(from_colors),
-                "to": tuple(to_colors),
-                "word": word,
-            },
-        )
-    cw = CertifiedWord(word, frozenset(iter_bits(diff_all)), bound, f"transform/{strategy}")
-    verify_certificate(g, cw)
-    return cw
+    return _certify(
+        g, parts, frozenset(iter_bits(diff_all)), bound, f"transform/{strategy}",
+        "transform word", {"from": tuple(from_colors), "to": tuple(to_colors)},
+    )
 
 
 # -- stars and complete graphs ----------------------------------------------

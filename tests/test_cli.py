@@ -532,7 +532,8 @@ def test_a_false_certificate_is_reported_under_optimize_flag(tmp_path):
 P3_BOUND_VIOLATIONS = {
     "reverse": (
         "bound violation: full-reversal: word of length 18 exceeds bound 9\n"
-        '{"witness": {"word": [0, 1, 0, 2, 0, 2, 1, 2, 1, 0, 1, 0, 2, 0, 2, 1, 2, 1], "bound": 9}}\n'
+        '{"witness": {"n": 3, "edges": [[0, 1], [1, 2]], '
+        '"word": [0, 1, 0, 2, 0, 2, 1, 2, 1, 0, 1, 0, 2, 0, 2, 1, 2, 1]}}\n'
     ),
     "transform": (
         "bound violation: transform word of length 24 exceeds bound 15\n"

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+from itertools import takewhile
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +14,14 @@ from locinv.graph_core import (
     Graph,
     all_plus,
     apply_word,
+    bfs_layers,
     component_masks,
     flip,
     iter_bits,
     local_complement,
     local_inversion,
+    mask_of,
+    reachable_mask,
     reduce_word,
     replay,
 )
@@ -468,6 +472,35 @@ def test_components_and_connectivity():
     assert component_masks(Graph.path(5).rows, 0b11111) == [0b11111]
     assert component_masks(Graph(0, ()).rows, 0) == []
     assert component_masks(Graph(1, (0,)).rows, 0b1) == [0b1]
+
+
+def test_bfs_layers_match_networkx_inside_a_mask():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(24)
+    for _ in range(300):
+        n = rng.randint(1, 24)
+        g = random_graph(rng, n, rng.choice((0.05, 0.15, 0.4)))
+        start = rng.randrange(n)
+        # -1 is the unrestricted mask that the chord swap of the perfect forest passes
+        within = -1 if rng.random() < 0.2 else mask_of(v for v in range(n) if rng.random() < 0.7)
+        within |= 1 << start
+        inside = within & ((1 << n) - 1)
+        h = nx.Graph()
+        h.add_nodes_from(iter_bits(inside))
+        h.add_edges_from((u, v) for u, v in g.edges() if (inside >> u) & (inside >> v) & 1)
+
+        layers = list(bfs_layers(g.rows, start, within))
+        assert layers == [mask_of(layer) for layer in nx.bfs_layers(h, start)]
+        reach = 0
+        for layer in layers:
+            reach |= layer
+        assert reachable_mask(g.rows, start, within) == reach
+
+        # stopping at the layer that holds a target, as the chord swap does,
+        # sees the layers before it
+        target = rng.choice(list(iter_bits(reach)))
+        prefix = list(takewhile(lambda layer: not (layer >> target) & 1, bfs_layers(g.rows, start, within)))
+        assert prefix == layers[: nx.shortest_path_length(h, start, target)]
 
 
 # -- rows built without validation ----------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import locinv
 import locinv.synthesizer as synth
-from locinv.errors import UnsatisfiableError, VerificationError
+from locinv.errors import BoundExceededError, UnsatisfiableError, VerificationError
 from locinv.graph_core import (
     BicoloredGraph,
     Graph,
@@ -705,6 +705,30 @@ def test_transform_word_checks_its_own_word(monkeypatch):
     monkeypatch.setattr(synth, "_transform_component", dropped_letter)
     with pytest.raises(VerificationError):
         transform_word(Graph.path(4), (1, 1, 1, 1), (-1, 1, 1, 1))
+
+
+def test_both_builders_raise_a_witness_that_rebuilds_the_call(monkeypatch):
+    # the builders check the bound before any record is built, so the
+    # record's own witness (word and bound only) never reaches a caller
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
+    old, new = (1, 1, 1, 1, 1, 1), (-1, 1, 1, -1, -1, 1)
+    reverse, transform = synth._reverse_component_word, synth._transform_component
+    monkeypatch.setattr(synth, "_reverse_component_word", lambda rows, comp: reverse(rows, comp) * 2)
+    monkeypatch.setattr(
+        synth, "_transform_component", lambda rows, comp, diff: (transform(rows, comp, diff)[0] * 4, "t")
+    )
+    for build, args, instance in (
+        (color_reversal_word, (g,), {}),
+        (transform_word, (g, old, new), {"from": old, "to": new}),
+    ):
+        with pytest.raises(BoundExceededError, match="exceeds bound") as info:
+            build(*args)
+        witness = info.value.witness
+        assert list(witness) == ["n", "edges", *instance, "word"]
+        assert Graph.from_edges(witness["n"], witness["edges"]) == g
+        assert {key: witness[key] for key in instance} == instance
+        assert reduce_word(witness["word"]) == witness["word"]
+        assert f"length {len(witness['word'])} exceeds" in str(info.value)
 
 
 _TAMPERED_UNDER_O = """
