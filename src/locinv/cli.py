@@ -2,8 +2,13 @@
 
 Graphs travel as edge-list documents (header ``n <count>``, one ``u v``
 line per edge), or as graph6 lines for ``survey --graph6`` (decoded by
-:mod:`locinv.graph6`); colorings as +/- tokens, position i being
-vertex i.  Reports are JSON: ``exact`` prints one cr-report object,
+:mod:`locinv.graph6`); colorings as +/- tokens, position i being vertex
+i.  :func:`parse_edge_list` reads a strict document (the form
+:func:`emit_edge_list` writes: ASCII digits and blanks, a newline after
+every line) with whole-text checks instead of one per line; any other
+document, and any strict one with a loop or an id out of range, goes
+through the line-by-line parser, so every error text names the line it
+is about.  Reports are JSON: ``exact`` prints one cr-report object,
 ``survey`` prints one cr-report per line followed by a summary line.
 
 Each word ``reverse`` and ``transform`` print has been replayed once,
@@ -22,6 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from typing import Sequence
 
@@ -90,11 +96,58 @@ def _int_option(token: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
 
 
+# A strict edge-list document is a header ``n <digits>`` and then lines of
+# two numbers, ASCII blanks between and after them, every line ending in
+# ``\n``.  Numbers have at most nine digits, so ``int`` never reaches its
+# digit limit.
+_STRICT_HEADER = re.compile(r"n ([0-9]{1,9})\n")
+_STRICT_LINES = re.compile(r"(?:[0-9]{1,9}[ \t]+[0-9]{1,9}[ \t]*\n)*")
+# characters per strict chunk: the regex keeps backtracking state for
+# every line it repeats over, so whole lines are matched and read about
+# 2 KB at a time, which bounds that state and the lists of ids
+_STRICT_CHUNK = 2048
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse an edge-list document: ``n <count>`` then one ``u v`` per line.
 
+    A strict document (``_STRICT_HEADER`` then ``_STRICT_LINES``, the form
+    :func:`emit_edge_list` writes) is checked and read a chunk of whole
+    lines at a time: one regex match, one ``split`` into ids, ``max`` for
+    the range and one ``map`` for loops, then a loop that sets both
+    adjacency bits of each edge.  Anything it doubts (blank lines, CR,
+    signs, other digits or whitespace, one or three numbers on a line, a
+    loop, an id out of range, a vertex count over the limit, a missing
+    final newline) sends the whole document to :func:`_parse_edge_lines`,
+    which accepts or rejects it with its own error text and line number.
+    """
+    head = _STRICT_HEADER.match(text)
+    if head and (n := int(head[1])) <= MAX_VERTICES:
+        rows = [0] * n
+        start, end = head.end(), len(text)
+        while start < end:
+            stop = text.find("\n", start + _STRICT_CHUNK) + 1 or end
+            if not _STRICT_LINES.fullmatch(text, start, stop):
+                break
+            ids = list(map(int, text[start:stop].split()))
+            us, vs = ids[0::2], ids[1::2]
+            if max(ids) >= n or any(map(int.__eq__, us, vs)):
+                break
+            for u, v in zip(us, vs):
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            start = stop
+        else:
+            return Graph._trusted(n, tuple(rows))
+    return _parse_edge_lines(text)
+
+
+def _parse_edge_lines(text: str) -> Graph:
+    """:func:`parse_edge_list` line by line, for any document.
+
     One pass checks each line and sets both adjacency bits of its edge, so
-    the rows are symmetric and loop-free by construction.
+    the rows are symmetric and loop-free by construction.  Every error
+    names the first bad line.
     """
     rows = None
     for no, ln in enumerate(text.splitlines(), 1):

@@ -16,9 +16,12 @@ set when ``uv`` is an edge), and a vertex set is an ``int`` mask in the
 same encoding.  A local complementation costs O(deg) integer operations.
 :func:`replay` is the one word-replay loop, behind every move and word
 application; it also yields the flipped set, which does not depend on the
-starting coloring.  :func:`bfs_layers` is the one breadth-first loop, and
-:func:`component_masks` the one that splits a vertex mask into connected
-components.  All values are immutable; operations return new values.
+starting coloring.  It decodes each letter's neighbourhood by density: a
+dense one through a byte table, a sparse one by peeling its top bit.
+:func:`bfs_layers` is the one breadth-first loop, :func:`component_masks`
+the one that splits a vertex mask into connected components, and
+:func:`cut_vertices` the one depth-first search.  All values are
+immutable; operations return new values.
 :class:`_Record` is the slotted base of every record type in the package.
 """
 
@@ -284,6 +287,45 @@ def component_masks(rows: Sequence[int], within: int) -> list[int]:
     return out
 
 
+def cut_vertices(rows: Sequence[int], within: int) -> int:
+    """Mask of the cut vertices of the connected subgraph induced by the mask ``within``.
+
+    A cut vertex is one whose removal disconnects the rest.  One iterative
+    depth-first search with low points (Hopcroft and Tarjan) finds them
+    all in O(k + m) row operations for k vertices and m edges.  An edge
+    back to the parent lowers a low point to the parent's order at most,
+    which does not change the test ``low[v] >= order[p]``, so it needs no
+    exclusion.
+    """
+    root = (within & -within).bit_length() - 1
+    order = {root: 0}
+    low = {root: 0}
+    cut = 0
+    root_children = 0
+    stack = [(root, iter_bits(rows[root] & within))]
+    while stack:
+        v, nbrs = stack[-1]
+        for u in nbrs:
+            if u not in order:
+                order[u] = low[u] = len(order)
+                stack.append((u, iter_bits(rows[u] & within)))
+                break
+            low[v] = min(low[v], order[u])
+        else:
+            stack.pop()
+            if not stack:
+                break
+            p = stack[-1][0]
+            low[p] = min(low[p], low[v])
+            if p == root:
+                root_children += 1
+            elif low[v] >= order[p]:
+                cut |= 1 << p
+    if root_children > 1:
+        cut |= 1 << root
+    return cut
+
+
 # -- coloring and bicolored graphs ------------------------------------
 
 
@@ -311,28 +353,61 @@ class BicoloredGraph(_Record):
 # -- the calculus ------------------------------------------------------
 
 
+# _BYTE_BITS[b]: the positions of the set bits of the byte b, in increasing order
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+
+
 def replay(rows: Sequence[int], w: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     """Replay ``w`` on adjacency ``rows``; return (flip mask, final rows).
 
     The flip mask is the XOR of ``rows[a]`` taken at each letter ``a`` as it
     is applied, which is the set of vertices whose color the word negates
-    on every starting coloring.  One list is updated in place, so a letter
-    costs O(deg a) integer operations.  Raises :class:`ValueError` on a
-    letter outside ``0..n-1``.
+    on every starting coloring.  One list is updated in place: a letter
+    ``a`` XORs its neighbourhood ``nb`` into the row of each neighbour,
+    a single row operation per neighbour.  That also toggles the
+    neighbour's own diagonal bit, so while the word runs the diagonal is
+    don't-care: a letter drops its own bit from ``nb``, and at the end the
+    diagonal, which then equals the flip mask, is cleared in one pass.
+
+    The neighbours of a letter are decoded by density.  With at least one
+    neighbour per 8 bytes of row, ``nb`` is walked byte by byte through a
+    256-entry table of bit offsets, O(n/8) small steps per letter.  A
+    sparser ``nb`` is peeled from its highest bit down, one shift and one
+    XOR of a shrinking mask per neighbour; a byte walk there would cost
+    O(n/8) per letter for a handful of neighbours.  Either way a letter
+    costs O(deg a) row operations of O(n/64) machine words each.  Raises
+    :class:`ValueError` on a letter outside ``0..n-1``.
     """
     n = len(rows)
+    nbytes = (n + 7) >> 3
     out = list(rows)
     flipped = 0
     for a in w:
         if not (0 <= a < n):
             raise ValueError(f"word letter {a} outside 0..{n - 1}")
         nb = out[a]
+        if nb >> a & 1:
+            nb ^= 1 << a
         flipped ^= nb
-        m = nb
-        while m:
-            low = m & -m
-            out[low.bit_length() - 1] ^= nb ^ low
-            m ^= low
+        if nb.bit_count() * 8 >= nbytes:
+            base = 0
+            for byte in nb.to_bytes(nbytes, "little"):
+                if byte:
+                    for i in _BYTE_BITS[byte]:
+                        out[base + i] ^= nb
+                base += 8
+        else:
+            m = nb
+            while m:
+                top = m.bit_length() - 1
+                out[top] ^= nb
+                m ^= 1 << top
+    base = 0
+    for byte in flipped.to_bytes(nbytes, "little"):
+        if byte:
+            for i in _BYTE_BITS[byte]:
+                out[base + i] ^= 1 << (base + i)
+        base += 8
     return flipped, tuple(out)
 
 

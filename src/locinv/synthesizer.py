@@ -56,6 +56,7 @@ from .graph_core import (
     _Record,
     apply_word,  # noqa: F401  module attribute wrapped by bench/tracer.py
     component_masks,
+    cut_vertices,
     iter_bits,
     mask_of,
     reachable_mask,
@@ -226,12 +227,14 @@ def _odd_subgraph_word(rows: Sequence[int], within: int) -> Word:
     ``c``, so it runs reversed: every letter is an involution, so the
     reversed word is its inverse and flips the same {a}.
     """
-    for a in iter_bits(within):
+    a = (within & -within).bit_length() - 1
+    rest = within ^ (1 << a)
+    # one search decides the smallest vertex; only when it is a cut vertex
+    # does one pass find every cut vertex and so the smallest other one
+    if reachable_mask(rows, (rest & -rest).bit_length() - 1, rest) != rest:
+        spare = within & ~cut_vertices(rows, within)
+        a = (spare & -spare).bit_length() - 1
         rest = within ^ (1 << a)
-        # connected when one search reaches all of it; splitting every
-        # component of a cut would cost up to twice as much per candidate
-        if reachable_mask(rows, (rest & -rest).bit_length() - 1, rest) == rest:
-            break
     w1 = _vertex_gadget(rows, a, within)
     assert w1 is not None, "a non-cut vertex off every triangle ends an induced path"
     if w1[0] == a:

@@ -92,6 +92,30 @@ def complement_rows_reference(rows: tuple[int, ...], a: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def replay_reference(rows, w):
+    """``graph_core.replay`` as one lowest-bit peel per letter, without don't-care diagonals.
+
+    Each neighbour ``u`` of a letter ``a`` gets ``rows[a]`` with its own bit
+    ``u`` taken out, so no row ever has a diagonal bit.  Returns the same
+    (flip mask, final rows) pair and raises the same :class:`ValueError` on
+    a letter outside ``0..n-1``.
+    """
+    n = len(rows)
+    out = list(rows)
+    flipped = 0
+    for a in w:
+        if not (0 <= a < n):
+            raise ValueError(f"word letter {a} outside 0..{n - 1}")
+        nb = out[a]
+        flipped ^= nb
+        m = nb
+        while m:
+            low = m & -m
+            out[low.bit_length() - 1] ^= nb ^ low
+            m ^= low
+    return flipped, tuple(out)
+
+
 def induced_subgraph(g: Graph, s) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph of ``g`` induced by ``s``, relabelled to ``0..|s|-1``.
 

@@ -209,6 +209,81 @@ def test_edge_list_rows_pass_public_validation_fuzzed(case, rng):
     assert Graph(parsed.n, parsed.rows) == parsed == _validated(n, edges)
 
 
+@st.composite
+def edge_list_documents(draw):
+    """Edge-list documents mixing strict lines with every case the strict path must pass on.
+
+    Strict lines are ``u v`` with in-range ids and ASCII blanks.  The rest:
+    blank lines, CRLF, leading blanks, signs, a non-ASCII digit, one or three
+    tokens, a loop, an id out of range, a ten-digit id, a missing final
+    newline, and headers that are malformed or over ``MAX_VERTICES``.
+    """
+    n = draw(st.integers(0, 12))
+    header = draw(
+        st.sampled_from(
+            [f"n {n}"] * 6
+            + [f"n  {n}", f" n {n}", f"n\t{n}", f"n 0{n}", f"n +{n}", f"N {n}", f"n {MAX_VERTICES + 1}", "n"]
+        )
+    )
+    vertex = st.integers(0, max(n - 1, 0))
+    blank = st.sampled_from([" ", "  ", "\t", " \t"])
+    trail = st.sampled_from(["", "", " ", "\t "])
+    lines = [header]
+    for _ in range(draw(st.integers(0, 14))):
+        u, v = draw(vertex), draw(vertex)
+        kind = draw(st.sampled_from(["strict"] * 8 + ["blank", "indent", "sign", "digit", "count", "loop", "range", "long"]))
+        if kind == "strict":
+            lines.append(f"{u}{draw(blank)}{v}{draw(trail)}")
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+        elif kind == "indent":
+            lines.append(f"{draw(blank)}{u} {v}")
+        elif kind == "sign":
+            lines.append(draw(st.sampled_from([f"-{u} {v}", f"+{u} {v}", f"{u} -{v}", f"{u} +{v}"])))
+        elif kind == "digit":
+            lines.append(draw(st.sampled_from([f"\u0663 {v}", f"{u} \u0663", f"{u}\u00a0{v}"])))
+        elif kind == "count":
+            lines.append(draw(st.sampled_from([f"{u}", f"{u} {v} {u}"])))
+        elif kind == "loop":
+            lines.append(f"{u} {u}")
+        elif kind == "range":
+            lines.append(draw(st.sampled_from([f"{u} {n + v}", f"{n} {v}"])))
+        else:
+            lines.append(f"{u:010d} {v}")
+    text = draw(st.sampled_from(["\n", "\n", "\r\n"])).join(lines)
+    return text + draw(st.sampled_from(["\n", "\n", "\n", "", "\r\n"]))
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_list_documents())
+def test_strict_edge_list_path_agrees_with_the_line_parser(text):
+    assert _parse_outcome(parse_edge_list, text) == _parse_outcome(cli._parse_edge_lines, text)
+
+
+def test_strict_edge_list_path_reads_the_common_document(monkeypatch):
+    fallback = []
+    line_parser = cli._parse_edge_lines
+    monkeypatch.setattr(cli, "_parse_edge_lines", lambda text: fallback.append(text) or line_parser(text))
+    # the strict path reads these whole, over several chunks for the last
+    long_path = "n 1001\n" + "".join(f"{v} {v + 1}\t\n" for v in range(1000))
+    for text in ("n 0\n", "n 4\n", "n 4\n0 1\n1\t2 \n3 2\n2 3\n", "n 3\n00 2\n", long_path):
+        assert parse_edge_list(text) == line_parser(text)
+    assert len(long_path) > 4 * cli._STRICT_CHUNK
+    assert fallback == []
+    # and leaves these to the line parser, the last for a loop in its final chunk
+    doubted = ["n 4\n0 1", "n 4\r\n0 1\r\n", "n 4\n\n0 1\n", "n 4\n-0 1\n", "n 4\n0 1 2\n", long_path + "7 7\n"]
+    for text in doubted:
+        _parse_outcome(parse_edge_list, text)
+    assert fallback == doubted
+
+
 def test_edge_list_vertex_count_limit():
     assert parse_edge_list(f"n {MAX_VERTICES}\n0 1\n").n == MAX_VERTICES
     with pytest.raises(ValueError, match="exceeds the limit"):

@@ -16,6 +16,7 @@ from locinv.graph_core import (
     apply_word,
     bfs_layers,
     component_masks,
+    cut_vertices,
     flip,
     iter_bits,
     local_complement,
@@ -29,9 +30,16 @@ from locinv.graph_core import (
 from locinv.errors import BoundExceededError
 from locinv.oracle import CrReport, SurveySummary
 from locinv.partitioner import EdgePartition, RootedTree
-from locinv.synthesizer import CertifiedWord
+from locinv.synthesizer import CertifiedWord, color_reversal_word, transform_word
 
-from helpers import induced_subgraph, local_complement_reference, random_coloring, random_graph
+from helpers import (
+    induced_subgraph,
+    local_complement_reference,
+    random_coloring,
+    random_connected_graph,
+    random_graph,
+    replay_reference,
+)
 
 
 @st.composite
@@ -448,6 +456,60 @@ def test_replay_leaves_its_input_alone_and_checks_letters():
     for bad in (-1, 4):
         with pytest.raises(ValueError, match=f"word letter {bad} outside 0..3"):
             replay(rows, (0, bad))
+
+
+def test_replay_matches_the_reference_at_scale():
+    """Multi-byte rows through both decodes, against the lowest-bit reference.
+
+    Seeded graphs with 64 to 1,100 vertices and extra-edge densities from
+    2/n to 0.3 replay random words and the builders' reversal and transform
+    words.  Up to 257 vertices nearly every letter takes the byte walk; at
+    513 and 1,100 vertices, with about 4/n and 2/n, 1,358 of 3,512 and
+    6,098 of 7,456 letters take the peel.
+    """
+    rng = random.Random(0xB17E)
+    for n, p in ((64, 0.3), (100, 2 / 100), (257, 0.1), (513, 4 / 513), (800, 0.02), (1100, 2 / 1100)):
+        g = random_connected_graph(rng, n, p)
+        from_colors, to_colors = random_coloring(rng, n), random_coloring(rng, n)
+        for w in (
+            tuple(rng.randrange(n) for _ in range(2 * n)),
+            color_reversal_word(g).word,
+            transform_word(g, from_colors, to_colors).word,
+        ):
+            assert replay(g.rows, w) == replay_reference(g.rows, w)
+
+
+def test_replay_at_the_density_threshold():
+    # 1,024 vertices make 128-byte rows: 16 neighbours take the byte walk,
+    # 15 the peel, and both must agree with the reference on the same word
+    rng = random.Random(0x7E5)
+    n = 1024
+    for deg in (15, 16, 17):
+        hub = rng.sample(range(1, n), deg)
+        edges = {(0, v) for v in hub} | {(v, v + 1) for v in range(1, n - 1)}
+        g = Graph.from_edges(n, edges)
+        assert g.rows[0].bit_count() * 8 - (n + 7) // 8 == 8 * (deg - 16)
+        for w in ((0,), (0, 0), (0, hub[0], 0), tuple(rng.choice([0, *hub]) for _ in range(200))):
+            assert replay(g.rows, w) == replay_reference(g.rows, w)
+    with pytest.raises(ValueError, match=f"word letter {n} outside 0..{n - 1}") as exc:
+        replay(g.rows, (0, 5, n))
+    with pytest.raises(ValueError) as ref:
+        replay_reference(g.rows, (0, 5, n))
+    assert str(exc.value) == str(ref.value)
+
+
+def test_cut_vertices_match_removal_by_removal():
+    rng = random.Random(0xC07)
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        g = random_graph(rng, n, rng.random())
+        for comp in component_masks(g.rows, (1 << n) - 1):
+            expected = 0
+            for v in iter_bits(comp):
+                rest = comp ^ (1 << v)
+                if rest and reachable_mask(g.rows, (rest & -rest).bit_length() - 1, rest) != rest:
+                    expected |= 1 << v
+            assert cut_vertices(g.rows, comp) == expected
 
 
 @given(colored_graphs(min_n=1, max_n=6), st.data())

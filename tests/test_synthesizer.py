@@ -1,5 +1,6 @@
 """Tests for certified word synthesis."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -402,6 +403,41 @@ def test_reverse_odd_subgraph_random():
         word = synth._odd_subgraph_word(g.rows, (1 << n) - 1)
         assert len(word) <= 4 * n - 3
         certify(g, word, range(n), 4 * n - 3)
+
+
+def _odd_path_with_high_ends(n: int) -> Graph:
+    """Path on ``n`` vertices whose two ends carry the largest ids, n-2 and n-1.
+
+    Every smaller id is an inner vertex, so each of them cuts the path and
+    the peel of :func:`synth._odd_subgraph_word` must look past all of them.
+    """
+    order = [n - 2, *range(n - 2), n - 1]
+    return Graph.from_edges(n, list(zip(order, order[1:])))
+
+
+# SHA-256 of the comma-joined reversal word, computed with the peel that
+# searched candidate by candidate
+_ODD_PATH_DIGESTS = {
+    1001: "60d022f8df7ab341a109e9bbf4c0abf8d432811cbaaeee822a450636f03ff521",
+    4001: "6bee9e50d286d5d5d01ca9d97bca1370a7b3f1db3c2d5265cdb0a7a0f11b5a56",
+}
+
+
+@pytest.mark.parametrize("n", [1001, pytest.param(4001, marks=pytest.mark.slow)])
+def test_odd_peel_past_cut_vertices_keeps_its_word(n):
+    g = _odd_path_with_high_ends(n)
+    word = color_reversal_word(g).word
+    assert len(word) <= 4 * n - 3
+    assert hashlib.sha256(",".join(map(str, word)).encode("ascii")).hexdigest() == _ODD_PATH_DIGESTS[n]
+
+
+def test_odd_peel_takes_the_smallest_non_cut_vertex():
+    # vertex 0 cuts the path 3-0-1-2-4; the peel falls back to the cut pass
+    # and takes 3, the smallest end, exactly as a search per candidate would
+    g = _odd_path_with_high_ends(5)
+    word = synth._odd_subgraph_word(g.rows, 0b11111)
+    assert word[-6:] == synth._vertex_gadget(g.rows, 3, 0b11111)[1:]
+    certify(g, word, range(5), 17)
 
 
 # -- whole-graph reversal -------------------------------------------------------------------

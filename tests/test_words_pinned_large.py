@@ -6,7 +6,9 @@ transform word (letters joined by commas, ASCII), and the transform's
 construction tag.  The graphs are connected, with 256 to 4,096 vertices,
 sparse and dense, so the digests guard deep breadth-first layers and long
 chord swaps of the perfect forest letter for letter, where
-``words_pinned.jsonl`` stops at 40 vertices.
+``words_pinned.jsonl`` stops at 40 vertices.  A slow test pins two sparse
+graphs of 16,384 vertices the same way, read back through the edge-list
+parser; their replays run on the sparse decode of :func:`graph_core.replay`.
 
 Regenerate the file (only when a change of words is intended and stated)
 with ``PYTHONPATH=src:tests python tests/test_words_pinned_large.py >
@@ -20,6 +22,9 @@ import json
 import os
 import random
 
+import pytest
+
+import locinv.cli as cli
 from locinv.graph_core import Graph
 from locinv.synthesizer import color_reversal_word, transform_word
 
@@ -88,6 +93,33 @@ def test_large_words_match_the_pinned_digests():
     assert [r["seed"] for r in records] == [case[0] for case in CASES]
     for case, expected in zip(CASES, records):
         assert large_record(*case) == expected
+
+
+# (case, reversal digest, transform digest), computed before the byte-table
+# replay and the strict edge-list parse
+SCALE_CASES = (
+    (
+        (9, 16384, 0, 1, 0.5),
+        "f70ccf8c92ff0d5997b5eedbefc207c0bc5a898d838f421eb945cf26ac742db6",
+        "d48b747ba9cf30b67b7c3170ef07ddbb989de67e892562e77cb0cc03a2d3f740",
+    ),
+    (
+        (10, 16384, 6, 2, 0.1),
+        "44c3cfc795822f4f8d388b3aac3cd69f7553ea82307ec74c80932dbf03f13341",
+        "0acce1dbb08a15c46f8cd243116c5e06e1da553f351794a662236f5faee66eff",
+    ),
+)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case, reverse, transform", SCALE_CASES, ids=["seed9", "seed10"])
+def test_scale_words_match_the_pinned_digests(case, reverse, transform, monkeypatch):
+    g, from_colors, to_colors = large_case(*case)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parse_edge_lines", None)  # the strict path must read it all
+        assert cli.parse_edge_list(cli.emit_edge_list(g)) == g
+    assert _digest(color_reversal_word(g).word) == reverse
+    assert _digest(transform_word(g, from_colors, to_colors).word) == transform
 
 
 if __name__ == "__main__":
