@@ -209,8 +209,8 @@ def format_colors(coloring: Sequence[int]) -> str:
 
 def _render_word(word: Sequence[int], labels: list[str] | None) -> str:
     if labels is None:
-        return ",".join(str(x) for x in word)
-    return ",".join(labels[x] for x in word)
+        return ",".join(map(str, word))
+    return ",".join(map(labels.__getitem__, word))
 
 
 def _parse_labels(raw: str | None, n: int) -> list[str] | None:

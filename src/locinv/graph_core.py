@@ -17,7 +17,10 @@ same encoding.  A local complementation costs O(deg) integer operations.
 :func:`replay` is the one word-replay loop, behind every move and word
 application; it also yields the flipped set, which does not depend on the
 starting coloring.  It decodes each letter's neighbourhood by density: a
-dense one through a byte table, a sparse one by peeling its top bit.
+dense one through a byte table, a sparse one by peeling its top bit.  An
+alternating run ``a b a b ...`` on an edge ab costs at most three letters:
+``(ab)^3`` restores the graph and flips exactly {a, b}, so whole blocks of
+six letters are skipped.
 :func:`bfs_layers` is the one breadth-first loop, :func:`component_masks`
 the one that splits a vertex mask into connected components, and
 :func:`cut_vertices` the one depth-first search.  All values are
@@ -377,31 +380,80 @@ def replay(rows: Sequence[int], w: Iterable[int]) -> tuple[int, tuple[int, ...]]
     O(n/8) per letter for a handful of neighbours.  Either way a letter
     costs O(deg a) row operations of O(n/64) machine words each.  Raises
     :class:`ValueError` on a letter outside ``0..n-1``.
+
+    An alternating run ``a b a b ...`` of m >= 4 letters on an edge ab
+    (both letters in range, ``b`` a neighbour of ``a`` when the run
+    starts) is replayed in closed form.  Write m = 6q + r.  The run XORs
+    ``{a, b}`` into the flip mask ``q + [r >= 4]`` times, and toggles the
+    diagonal bits of a and b as often, so the diagonal still follows the
+    flip mask; then it replays the remainder ``()``, ``(a,)``, ``(a, b)``,
+    ``(a, b, a)``, ``(b, a)`` or ``(b,)`` for r = 0..5 as ordinary
+    letters.  So a run costs at most three letters, and the result is the
+    one the per-letter replay returns:
+
+    - A move at v toggles only pairs inside N(v), which never holds v, so
+      every letter of the run still sees the edge ab.
+    - On an edge, ``a b a`` and ``b a b`` act alike on the graph (the
+      pivot; Bouchet, Combinatorica 1991).  Hence ``(ab)^3 = aba bab =
+      aba aba``, which cancels to the empty word: the graph comes back.
+    - Its flip set is ``{a, b}`` in every host.  A word on a and b acts on
+      another vertex only through its attachment set to {a, b}, and on a
+      pair of them only through their two attachment sets and their own
+      edge; a vertex attached to neither is never touched.  The tier-1 test
+      ``test_alternating_runs_in_every_attachment_host`` replays runs of 1
+      to 12 letters on every host with ab an edge and two outside copies
+      of each attachment set {a}, {b} and {a, b} (all 2^15 edge sets among
+      the six) against the per-letter loop.
+    - So ``(ab)^3`` changes no row and flips ``{a, b}`` whatever the graph,
+      and commutes with the letters around it.  The two identities
+      ``abab = (ab)^3 b a`` and ``ababa = (ab)^3 b`` (every letter is an
+      involution) give the remainders for r = 4 and 5.
     """
     n = len(rows)
     nbytes = (n + 7) >> 3
     out = list(rows)
     flipped = 0
-    for a in w:
+    w = tuple(w)
+    end = len(w)
+    pos = 0
+    while pos < end:
+        a = w[pos]
         if not (0 <= a < n):
             raise ValueError(f"word letter {a} outside 0..{n - 1}")
-        nb = out[a]
-        if nb >> a & 1:
-            nb ^= 1 << a
-        flipped ^= nb
-        if nb.bit_count() * 8 >= nbytes:
-            base = 0
-            for byte in nb.to_bytes(nbytes, "little"):
-                if byte:
-                    for i in _BYTE_BITS[byte]:
-                        out[base + i] ^= nb
-                base += 8
-        else:
-            m = nb
-            while m:
-                top = m.bit_length() - 1
-                out[top] ^= nb
-                m ^= 1 << top
+        pos += 1
+        letters = (a,)
+        if pos + 2 < end and w[pos + 1] == a:
+            b = w[pos]
+            if w[pos + 2] == b and b != a and 0 <= b < n and out[a] >> b & 1:
+                # a run a b a b ... of m >= 4 letters on the edge ab
+                stop = pos + 3
+                while stop < end and w[stop] == w[stop - 2]:
+                    stop += 1
+                q, r = divmod(stop - pos + 1, 6)
+                if (q + (r >= 4)) & 1:
+                    flipped ^= 1 << a | 1 << b
+                    out[a] ^= 1 << a
+                    out[b] ^= 1 << b
+                letters = ((), (a,), (a, b), (a, b, a), (b, a), (b,))[r]
+                pos = stop
+        for a in letters:
+            nb = out[a]
+            if nb >> a & 1:
+                nb ^= 1 << a
+            flipped ^= nb
+            if nb.bit_count() * 8 >= nbytes:
+                base = 0
+                for byte in nb.to_bytes(nbytes, "little"):
+                    if byte:
+                        for i in _BYTE_BITS[byte]:
+                            out[base + i] ^= nb
+                    base += 8
+            else:
+                m = nb
+                while m:
+                    top = m.bit_length() - 1
+                    out[top] ^= nb
+                    m ^= 1 << top
     base = 0
     for byte in flipped.to_bytes(nbytes, "little"):
         if byte:

@@ -349,7 +349,8 @@ def connected_graphs(n: int) -> Iterator[Graph]:
 def survey(n_max: int, *, graph6_lines: Iterable[str] | None = None, jobs: int = 1) -> list[CrReport]:
     """Exact reports for every connected graph with 2..n_max vertices.
 
-    ``n_max`` above :data:`MAX_CAP` raises :class:`CapExceededError` first.
+    ``n_max`` above :data:`MAX_CAP` raises :class:`CapExceededError` first,
+    and a negative one :class:`ValueError`.
     Graphs come from ``graph6_lines`` when given (filtered to at most
     ``n_max`` vertices) and from internal isomorphism-free enumeration
     otherwise, and reach :func:`exact_cr` as :class:`Graph` values.
@@ -360,6 +361,8 @@ def survey(n_max: int, *, graph6_lines: Iterable[str] | None = None, jobs: int =
     """
     if n_max > MAX_CAP:
         raise CapExceededError(f"n_max {n_max} exceeds the search cap {MAX_CAP}")
+    if n_max < 0:
+        raise ValueError(f"n_max must be at least 0, got {n_max}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if graph6_lines is not None:

@@ -95,10 +95,11 @@ def complement_rows_reference(rows: tuple[int, ...], a: int) -> tuple[int, ...]:
 def replay_reference(rows, w):
     """``graph_core.replay`` as one lowest-bit peel per letter, without don't-care diagonals.
 
-    Each neighbour ``u`` of a letter ``a`` gets ``rows[a]`` with its own bit
-    ``u`` taken out, so no row ever has a diagonal bit.  Returns the same
-    (flip mask, final rows) pair and raises the same :class:`ValueError` on
-    a letter outside ``0..n-1``.
+    Every letter is replayed, also inside the alternating runs that
+    ``replay`` takes in closed form.  Each neighbour ``u`` of a letter ``a``
+    gets ``rows[a]`` with its own bit ``u`` taken out, so no row ever has a
+    diagonal bit.  Returns the same (flip mask, final rows) pair and raises
+    the same :class:`ValueError` on a letter outside ``0..n-1``.
     """
     n = len(rows)
     out = list(rows)

@@ -815,6 +815,14 @@ def test_survey_refuses_jobs_below_one(capsys, jobs):
     assert captured.err == f"error: jobs must be at least 1, got {jobs}\n"
 
 
+@pytest.mark.parametrize("n_max", ["-1", "-4"])
+def test_survey_refuses_a_negative_max_n(capsys, n_max):
+    assert main(["survey", "--max-n", n_max]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: n_max must be at least 0, got {n_max}\n"
+
+
 def test_survey_graph6_file(tmp_path, capsys):
     path = tmp_path / "graphs.g6"
     path.write_text("A_\nBw\n")

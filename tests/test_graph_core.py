@@ -481,7 +481,9 @@ def test_replay_matches_the_reference_at_scale():
 
 def test_replay_at_the_density_threshold():
     # 1,024 vertices make 128-byte rows: 16 neighbours take the byte walk,
-    # 15 the peel, and both must agree with the reference on the same word
+    # 15 the peel, and both must agree with the reference on the same word;
+    # so must alternating runs through the hub, on two of its edges (skipped
+    # in closed form but for their remainder) and on a non-edge
     rng = random.Random(0x7E5)
     n = 1024
     for deg in (15, 16, 17):
@@ -489,13 +491,96 @@ def test_replay_at_the_density_threshold():
         edges = {(0, v) for v in hub} | {(v, v + 1) for v in range(1, n - 1)}
         g = Graph.from_edges(n, edges)
         assert g.rows[0].bit_count() * 8 - (n + 7) // 8 == 8 * (deg - 16)
-        for w in ((0,), (0, 0), (0, hub[0], 0), tuple(rng.choice([0, *hub]) for _ in range(200))):
+        stranger = next(v for v in range(1, n) if v not in hub)
+        runs = [(0, v) * k for v in (hub[0], hub[-1], stranger) for k in range(1, 8)]
+        runs += [(hub[0], 0) * k + (hub[0],) for k in range(1, 8)]
+        for w in ((0,), (0, 0), (0, hub[0], 0), tuple(rng.choice([0, *hub]) for _ in range(200)), *runs):
             assert replay(g.rows, w) == replay_reference(g.rows, w)
     with pytest.raises(ValueError, match=f"word letter {n} outside 0..{n - 1}") as exc:
         replay(g.rows, (0, 5, n))
     with pytest.raises(ValueError) as ref:
         replay_reference(g.rows, (0, 5, n))
     assert str(exc.value) == str(ref.value)
+
+
+def test_alternating_runs_in_every_attachment_host():
+    """The closed form of ``(ab)^3`` holds in every host: a finite check.
+
+    A word on a = 0 and b = 1 acts on another vertex only through its
+    attachment set to {a, b}, and on a pair of them only through their two
+    attachment sets and their own edge.  So the hosts with ab an edge, two
+    outside copies of each attachment set {a}, {b} and {a, b}, and any of
+    the 2^15 edge sets among those six decide every host.  Runs of 1 to 12
+    letters, from either end of the edge, must replay as the per-letter
+    reference does, whose state is carried one letter at a time.
+    """
+    attach = (0b01, 0b01, 0b10, 0b10, 0b11, 0b11)
+    pairs = [(u, v) for u in range(2, 8) for v in range(u + 1, 8)]
+    for bits in range(1 << len(pairs)):
+        rows = [0b10, 0b01, 0, 0, 0, 0, 0, 0]
+        for v, s in enumerate(attach, 2):
+            rows[v] = s
+            for u in iter_bits(s):
+                rows[u] |= 1 << v
+        for k, (u, v) in enumerate(pairs):
+            if bits >> k & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        for a, b in ((0, 1), (1, 0)):
+            flipped, after = 0, rows
+            for m in range(1, 13):
+                f, after = replay_reference(after, ((a, b)[(m - 1) % 2],))
+                flipped ^= f
+                assert replay(rows, (a, b) * (m // 2) + (a,) * (m % 2)) == (flipped, after)
+
+
+def test_replay_runs_match_the_reference():
+    """Seeded words of alternating runs against the per-letter reference.
+
+    Runs sit on edges and on non-edges, run to the end of the word or stop
+    at another letter, and are broken part way; letters outside the graph
+    inside a run, as its partner, or right after it raise the reference's
+    text.
+    """
+    rng = random.Random(0x6AB)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(2, 40)
+        g = random_graph(rng, n, rng.random())
+        w = []
+        for _ in range(rng.randint(1, 5)):
+            a, b = rng.sample(range(n), 2)
+            run = [a, b] * rng.randint(2, 10) + [a] * rng.randint(0, 1)
+            if rng.random() < 0.3:
+                run[rng.randrange(len(run))] = rng.randrange(n)
+            w += run + [rng.randrange(n) for _ in range(rng.randint(0, 2))]
+            seen[bool(g.rows[a] >> b & 1)] += 1
+        w = tuple(w)
+        assert replay(g.rows, w) == replay_reference(g.rows, w)
+        for bad in (-1, n):
+            a, b = rng.sample(range(n), 2)
+            for case in ((a, b, a, b, bad, b, a, b), (a, b) * 5 + (bad,), (a, bad, a, bad, a), w + (bad,)):
+                with pytest.raises(ValueError) as exc:
+                    replay(g.rows, case)
+                with pytest.raises(ValueError) as ref:
+                    replay_reference(g.rows, case)
+                assert str(exc.value) == str(ref.value) == f"word letter {bad} outside 0..{n - 1}"
+    assert min(seen.values()) > 100
+
+
+def test_replay_sparse_decode_at_scale():
+    """Builders' run-rich words on 4,096 sparse vertices, all through the peel.
+
+    Every row is below one neighbour per 8 bytes (64 neighbours at 512
+    bytes), so every real letter takes the sparse decode.
+    """
+    rng = random.Random(0x5A75E)
+    n = 4096
+    g = random_connected_graph(rng, n, 2 / n)
+    assert max(row.bit_count() for row in g.rows) * 8 < (n + 7) // 8
+    from_colors, to_colors = random_coloring(rng, n), random_coloring(rng, n)
+    for w in (color_reversal_word(g).word, transform_word(g, from_colors, to_colors).word):
+        assert replay(g.rows, w) == replay_reference(g.rows, w)
 
 
 def test_cut_vertices_match_removal_by_removal():

@@ -438,6 +438,16 @@ def test_survey_rejects_jobs_below_one(jobs):
         survey(9, jobs=jobs)
 
 
+@pytest.mark.parametrize("n_max", [-1, -4])
+def test_survey_rejects_a_negative_vertex_count(n_max):
+    with pytest.raises(ValueError) as exc:
+        survey(n_max, graph6_lines=["?"])
+    assert str(exc.value) == f"n_max must be at least 0, got {n_max}"
+    # checked before the jobs count
+    with pytest.raises(ValueError, match="n_max must be at least 0"):
+        survey(n_max, jobs=0)
+
+
 def test_survey_with_graph6_input():
     from locinv.graph6 import emit_graph6
 
