@@ -369,6 +369,8 @@ def _gadget_vertices(args: argparse.Namespace, count: int) -> list[int]:
     vs = [_gadget_int(args, "vertex id", x) for x in args.args]
     if any(v < 0 for v in vs) or len(set(vs)) != count:
         raise ValueError(f"gadget {args.kind} needs {count} distinct non-negative ids")
+    if (top := max(vs)) >= MAX_VERTICES:
+        raise ValueError(f"gadget {args.kind}: vertex id {top} outside 0..{MAX_VERTICES - 1}")
     return vs
 
 

@@ -18,7 +18,7 @@ the radius of the orbit: 12,225 states for the 7-vertex path (orbit
 7-cycle.  :data:`MAX_STATES` bounds the states of any one search.
 
 The survey enumerates one graph per isomorphism class by vertex
-augmentation (:func:`connected_graphs`) and searches on those
+augmentation, growing each order once, and searches on those
 :class:`Graph` values: the 853 connected classes on 7 vertices take well
 under a second, and the survey of all 995 classes up to 7 vertices runs
 in under a minute on one core; only ``jobs > 1`` loads a process pool.
@@ -316,6 +316,22 @@ def _canonical_bits(rows: Sequence[int], n: int) -> int:
     return bits
 
 
+def _levels(n_max: int) -> Iterator[list[int]]:
+    """Sorted canonical bits of the connected classes of order 1, 2, ..., ``n_max``, each order grown once."""
+    level = [0]  # the one-vertex graph
+    yield level
+    for k in range(2, n_max + 1):
+        found = set()
+        for bits in level:
+            rows = upper_rows(k - 1, bits)
+            for s in range(1, 1 << (k - 1)):
+                grown = [row | (s >> i & 1) << (k - 1) for i, row in enumerate(rows)]
+                grown.append(s)
+                found.add(_canonical_bits(grown, k))
+        level = sorted(found)
+        yield level
+
+
 def connected_graphs(n: int) -> Iterator[Graph]:
     """All connected graphs on ``n`` vertices, one per isomorphism class.
 
@@ -326,19 +342,7 @@ def connected_graphs(n: int) -> Iterator[Graph]:
     every connected graph has a vertex whose removal leaves it connected,
     so every class arises.  Nothing is kept between calls.
     """
-    if n <= 1:
-        yield Graph(n, (0,) * n)
-        return
-    level = [0]  # the one-vertex graph
-    for k in range(2, n + 1):
-        found = set()
-        for bits in level:
-            rows = upper_rows(k - 1, bits)
-            for s in range(1, 1 << (k - 1)):
-                grown = [row | (s >> i & 1) << (k - 1) for i, row in enumerate(rows)]
-                grown.append(s)
-                found.add(_canonical_bits(grown, k))
-        level = sorted(found)
+    *_, level = _levels(n)
     for bits in level:
         yield Graph.from_upper_bits(n, bits)
 
@@ -368,7 +372,8 @@ def survey(n_max: int, *, graph6_lines: Iterable[str] | None = None, jobs: int =
     if graph6_lines is not None:
         graphs = [g for g in map(parse_graph6, graph6_lines) if g.n <= n_max]
     else:
-        graphs = [g for n in range(2, n_max + 1) for g in connected_graphs(n)]
+        orders = enumerate(_levels(n_max), 1)
+        graphs = [Graph.from_upper_bits(n, bits) for n, level in orders if n > 1 for bits in level]
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         return list(map(exact_cr, graphs))

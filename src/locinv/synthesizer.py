@@ -26,16 +26,16 @@ Building blocks (lengths in letters):
 
 On top of those: whole-graph color reversal within 4n-4 (n even) or 4n-3
 (n odd) letters per connected component, arbitrary recoloring within
-floor((11n-3)/2) letters, and explicit 3n-letter words for stars and
-complete graphs.
+floor((11n-3)/2) letters (and at most 4n), and explicit 3n-letter words
+for stars and complete graphs.
 
 Each construction has one private row core that takes the host graph's
 adjacency rows and its vertex sets as ``int`` masks, from the component
 split (:func:`locinv.graph_core.component_masks`) down to the gadgets:
 ``_vertex_gadget``, ``_odd_tree_word``, ``_even_subgraph_word``,
-``_odd_subgraph_word``, ``_reverse_component_word``, ``_flip_set_word``
-and ``_transform_component``.  The cores trust their inputs and call each
-other directly.  An anchored word (odd tree, even subgraph) always ends
+``_odd_subgraph_word``, ``_reverse_component_word`` and
+``_flip_set_word``.  The cores trust their inputs and call each other
+directly.  An anchored word (odd tree, even subgraph) always ends
 with its anchor; the odd-subgraph splice that needs a word starting with
 the shared letter runs its triangle gadget reversed, which is the
 gadget's inverse and flips the same vertex.  The public entry points are
@@ -331,6 +331,19 @@ def _flip_set_word(rows: Sequence[int], s: int) -> Word:
     gadget is centred on their lowest common neighbor), and the rest take
     :func:`_vertex_gadget`, which always finds a triangle or an induced
     path: a pending vertex has neighbors, none of degree 1.
+
+    At most 4 letters per vertex of each host component C that ``s``
+    touches, charged to C's vertices: a piece of order m >= 2 costs at
+    most 4m (2 for a whole K2, 6 for the edge gadget, 9 for m = 3, 4m - 4
+    for even m >= 4, 4m - 3 for odd m >= 5), an isolate with a pendant
+    neighbor 1, a paired isolate 4 (8 letters per pair), and a leftover
+    single 7 = 4 + 3: 4 on itself and 3 on one of its neighbors, all of
+    which lie outside ``s``.  No neighbor takes 3 twice: when the lower of
+    two leftover singles was taken, the higher was still pending, so they
+    share no neighbor.  Free reduction only shortens a word, and
+    (11k - 3)/2 >= 4k for every k >= 1, so :func:`transform_word` stays
+    within the paper's floor((11n - 3t)/2) for every n, with no small-n
+    threshold; :func:`_certify` still checks that bound on every word.
     """
     parts: list[int] = []
     isolates = 0
@@ -368,32 +381,17 @@ def _flip_set_word(rows: Sequence[int], s: int) -> Word:
     return tuple(parts)
 
 
-def _transform_component(rows: Sequence[int], comp: int, diff: int) -> tuple[Word, str]:
-    """Recoloring word and strategy for the component mask ``comp`` and its disagreement mask ``diff``."""
-    fix = _flip_set_word(rows, diff)
-    # alt ends with a reversal word of the piece, and for k >= 3 vertices that
-    # has at least 3k letters (9 for three, 6 per K2 and 4k'-4 >= 3k' per odd
-    # tree of an even piece, 3(k-1) - 1 + 6 for an odd one), so it cannot win
-    k = comp.bit_count()
-    if diff == comp or (k >= 3 and len(fix) <= 3 * k):
-        return fix, "fix-V1"
-    alt = _flip_set_word(rows, comp & ~diff) + _reverse_component_word(rows, comp)
-    if len(fix) <= len(alt):
-        return fix, "fix-V1"
-    return alt, "flip-V0-then-all"
-
-
 def transform_word(g: Graph, from_colors: Sequence[int], to_colors: Sequence[int]) -> CertifiedWord:
     """Word turning the coloring ``from_colors`` into ``to_colors`` on ``g``.
 
-    Per component, two strategies are realized and the shorter word wins:
-    flip the disagreement set directly, or flip the agreement set and then
-    reverse the whole component; the joined word is freely reduced.  The
-    certified bound is floor((11n-3)/2) for connected ``g`` and
-    floor((11n-3t)/2) for t components; :func:`_certify` checks the word,
-    so exceeding the bound raises :class:`BoundExceededError` with a
-    witness rather than returning a broken certificate, and a word that
-    fails :func:`verify_certificate` raises :class:`VerificationError`.
+    Per component, :func:`_flip_set_word` flips the disagreement set
+    directly, within 4 letters per vertex of the component, so at most 4n
+    in all; the joined word is freely reduced.  The certified bound is the
+    paper's floor((11n-3)/2) for connected ``g`` and floor((11n-3t)/2) for
+    t components; :func:`_certify` checks the word, so exceeding the bound
+    raises :class:`BoundExceededError` with a witness rather than
+    returning a broken certificate, and a word that fails
+    :func:`verify_certificate` raises :class:`VerificationError`.
     """
     BicoloredGraph(g, tuple(from_colors))
     BicoloredGraph(g, tuple(to_colors))
@@ -404,20 +402,12 @@ def transform_word(g: Graph, from_colors: Sequence[int], to_colors: Sequence[int
 
     comps = component_masks(g.rows, (1 << g.n) - 1)
     parts: list[int] = []
-    tags: set[str] = set()
     for comp in comps:
-        diff = diff_all & comp
-        if not diff:
-            continue
-        word, tag = _transform_component(g.rows, comp, diff)
-        parts.extend(word)
-        tags.add(tag)
+        parts.extend(_flip_set_word(g.rows, diff_all & comp))
 
-    t = max(len(comps), 1)
-    bound = (11 * g.n - 3 * t) // 2 if g.n else 0
-    strategy = tags.pop() if len(tags) == 1 else ("mixed" if tags else "fix-V1")
+    bound = (11 * g.n - 3 * len(comps)) // 2
     return _certify(
-        g, parts, frozenset(iter_bits(diff_all)), bound, f"transform/{strategy}",
+        g, parts, frozenset(iter_bits(diff_all)), bound, "transform/fix-V1",
         "transform word", {"from": tuple(from_colors), "to": tuple(to_colors)},
     )
 

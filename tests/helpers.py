@@ -306,15 +306,6 @@ def flip_set_word_reference(rows, s: int):
     return tuple(parts)
 
 
-def transform_component_reference(rows, comp: int, diff: int):
-    """``_transform_component`` building both strategies' words every time."""
-    fix = synth._flip_set_word(rows, diff)
-    if diff == comp:
-        return fix, "fix-V1"
-    alt = synth._flip_set_word(rows, comp & ~diff) + synth._reverse_component_word(rows, comp)
-    return (fix, "fix-V1") if len(fix) <= len(alt) else (alt, "flip-V0-then-all")
-
-
 def perfect_forest_reference(g: Graph) -> tuple[tuple[Edge, ...], ...]:
     """Edge-set perfect forest, the construction before bitmask rows.
 

@@ -313,6 +313,26 @@ def test_gadget_refuses_huge_vertex_count(capsys, monkeypatch):
     assert err.startswith(f"error: gadget star: vertex count {10**12} exceeds the limit")
 
 
+@pytest.mark.parametrize("labelled", [False, True])
+@pytest.mark.parametrize("kind", ["edge", "triangle", "p3ends", "p3end"])
+def test_gadget_vertex_ids_stay_below_the_vertex_limit(capsys, kind, labelled):
+    # the same limit as an edge list's vertex count and gadget star's; the
+    # refused call names enough labels for its ids, so only the limit stops it
+    def run(top):
+        ids = ["0", "1", "2"][: 2 if kind == "edge" else 3]
+        ids[-1] = str(top)
+        labels = ["--labels", ",".join(f"v{i}" for i in range(top + 1))] * labelled
+        return main(["gadget", kind, *ids, *labels])
+
+    assert run(MAX_VERTICES) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: gadget {kind}: vertex id {MAX_VERTICES} outside 0..{MAX_VERTICES - 1}\n"
+    assert run(MAX_VERTICES - 1) == 0
+    top = f"v{MAX_VERTICES - 1}" if labelled else str(MAX_VERTICES - 1)
+    assert top in capsys.readouterr().out.split()[1].split(",")
+
+
 def test_exact_refuses_a_cap_above_the_search_ceiling(tmp_path, capsys, monkeypatch):
     # a 2^40-entry move table must never be started
     monkeypatch.setattr(oracle, "_move_table", _must_not_build)
@@ -504,14 +524,9 @@ def _p4_argv(command, path):
 
 def _drop_a_letter(monkeypatch):
     """Make both builders emit words one letter short of a valid certificate."""
-    reverse, transform = synth._reverse_component_word, synth._transform_component
-
-    def transform_short(g, comp, diff):
-        word, tag = transform(g, comp, diff)
-        return word[:-1], tag
-
+    reverse, flip_set = synth._reverse_component_word, synth._flip_set_word
     monkeypatch.setattr(synth, "_reverse_component_word", lambda g, comp: reverse(g, comp)[:-1])
-    monkeypatch.setattr(synth, "_transform_component", transform_short)
+    monkeypatch.setattr(synth, "_flip_set_word", lambda rows, s: flip_set(rows, s)[:-1])
 
 
 @pytest.mark.parametrize("verify", [False, True])
@@ -532,11 +547,9 @@ import sys
 import locinv.synthesizer as synth
 from locinv.cli import main
 
-reverse, transform = synth._reverse_component_word, synth._transform_component
+reverse, flip_set = synth._reverse_component_word, synth._flip_set_word
 synth._reverse_component_word = lambda g, comp: reverse(g, comp)[:-1]
-synth._transform_component = lambda g, comp, diff: (
-    transform(g, comp, diff)[0][:-1], transform(g, comp, diff)[1]
-)
+synth._flip_set_word = lambda rows, s: flip_set(rows, s)[:-1]
 path = sys.argv[1]
 codes = [__debug__]
 codes.append(main(["reverse", "-i", path, "--verify"]))
@@ -621,14 +634,9 @@ P3_COLORS = {"reverse": [], "transform": ["--from=+++", "--to=+--"]}
 
 def _repeat_words(monkeypatch):
     """Make the reversal builder emit its word twice and the transform builder four times."""
-    reverse, transform = synth._reverse_component_word, synth._transform_component
-
-    def transform_long(g, comp, diff):
-        word, tag = transform(g, comp, diff)
-        return word * 4, tag
-
+    reverse, flip_set = synth._reverse_component_word, synth._flip_set_word
     monkeypatch.setattr(synth, "_reverse_component_word", lambda g, comp: reverse(g, comp) * 2)
-    monkeypatch.setattr(synth, "_transform_component", transform_long)
+    monkeypatch.setattr(synth, "_flip_set_word", lambda rows, s: flip_set(rows, s) * 4)
 
 
 @pytest.mark.parametrize("command", ["reverse", "transform"])
@@ -646,11 +654,9 @@ import sys
 import locinv.synthesizer as synth
 from locinv.cli import main
 
-reverse, transform = synth._reverse_component_word, synth._transform_component
+reverse, flip_set = synth._reverse_component_word, synth._flip_set_word
 synth._reverse_component_word = lambda g, comp: reverse(g, comp) * 2
-synth._transform_component = lambda g, comp, diff: (
-    transform(g, comp, diff)[0] * 4, transform(g, comp, diff)[1]
-)
+synth._flip_set_word = lambda rows, s: flip_set(rows, s) * 4
 path = sys.argv[1]
 codes = [__debug__]
 codes.append(main(["reverse", "-i", path]))

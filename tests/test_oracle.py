@@ -423,6 +423,21 @@ def test_survey_small():
     assert summary.violations == ()
 
 
+def test_survey_grows_each_order_once(monkeypatch):
+    # one walk over the orders: 1 + 3 + 2*7 + 6*15 = 108 canonical forms for
+    # n_max = 5, where regrowing every order from one vertex takes 131; the
+    # classes come in the order connected_graphs gives them
+    from locinv.graph6 import emit_graph6
+
+    real = oracle._canonical_bits
+    orders = []
+    monkeypatch.setattr(oracle, "_canonical_bits", lambda rows, n: orders.append(n) or real(rows, n))
+    reports = survey(5)
+    assert len(orders) == 108
+    monkeypatch.undo()
+    assert [r.graph_id for r in reports] == [emit_graph6(g) for n in range(2, 6) for g in connected_graphs(n)]
+
+
 def test_survey_rejects_over_cap():
     with pytest.raises(CapExceededError):
         survey(9)

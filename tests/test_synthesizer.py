@@ -42,7 +42,6 @@ from helpers import (
     random_connected_graph,
     random_graph,
     random_odd_tree,
-    transform_component_reference,
     vertex_gadget_reference,
 )
 
@@ -520,26 +519,70 @@ def test_transform_stays_within_4n_minus_2_on_every_small_class(n):
             assert reduce_word(w) == w, (g.edges(), s)
 
 
-@pytest.mark.parametrize("n", [*range(3, 7), pytest.param(7, marks=pytest.mark.slow)])
-def test_every_reversal_word_of_three_or_more_vertices_has_3n_letters(n):
-    # the floor that lets _transform_component skip the flip-V0-then-all word
+def recoloring_graph(rng: random.Random, n: int, degree: int) -> Graph:
+    """A seeded graph for the 4-letters-per-vertex checks, relabelled at random.
+
+    One, two or four components, each a random tree plus about ``degree``
+    extra neighbours per vertex, and half the time up to n/8 isolated
+    vertices.
+    """
+    labels = list(range(n))
+    rng.shuffle(labels)
+    spanned = n - rng.choice((0, rng.randint(1, n // 8)))
+    cuts = sorted(rng.sample(range(2, spanned - 1), rng.choice((1, 2, 4)) - 1))
+    edges = set()
+    for lo, hi in zip([0, *cuts], [*cuts, spanned]):
+        for v in range(lo + 1, hi):
+            edges.add((labels[rng.randrange(lo, v)], labels[v]))
+        for _ in range(degree * (hi - lo) // 2):
+            u, v = rng.sample(range(lo, hi), 2)
+            edges.add((labels[u], labels[v]))
+    return Graph.from_edges(n, edges)
+
+
+def assert_four_letters_per_touched_vertex(g: Graph, s: int, rng: random.Random) -> None:
+    """Recolor the vertex mask ``s``: at most 4 letters per vertex of the components ``s`` touches."""
+    f = random_coloring(rng, g.n)
+    t = tuple(-c if (s >> v) & 1 else c for v, c in enumerate(f))
+    word = transform_word(g, f, t).word
+    touched = sum(c.bit_count() for c in component_masks(g.rows, (1 << g.n) - 1) if c & s)
+    assert len(word) <= 4 * touched, (g.n, len(g.edges()), s)
+
+
+def test_transform_spends_at_most_4_letters_per_touched_vertex():
+    # sparse and dense graphs with 16 to 4,096 vertices, some disconnected,
+    # some with isolated vertices, which stay out of the flip set
+    rng = random.Random(0x4A4)
+    for n, degrees in ((16, (0, 2, 6)), (64, (0, 2, 24)), (256, (1, 4, 64)), (1024, (1, 32)), (4096, (1, 8))):
+        for degree in degrees:
+            g = recoloring_graph(rng, n, degree)
+            for share in (0.05, 0.5, 0.95):
+                s = sum(1 << v for v in range(n) if g.rows[v] and rng.random() < share)
+                assert_four_letters_per_touched_vertex(g, s, rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9), st.data())
+def test_transform_spends_at_most_4_letters_per_touched_vertex_property(n, data):
+    g = Graph.from_upper_bits(n, data.draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
+    s = data.draw(st.integers(0, (1 << n) - 1)) & sum(1 << v for v in range(n) if g.rows[v])
+    assert_four_letters_per_touched_vertex(g, s, random.Random(data.draw(st.integers(0, 2**32))))
+
+
+@pytest.mark.slow
+def test_transform_spends_at_most_4_letters_per_touched_vertex_at_8_and_16384_vertices():
+    # 200 seeded classes on 8 vertices with 16 seeded flip sets each, then
+    # two sparse graphs at 16,384 vertices
     from locinv.oracle import connected_graphs
 
-    full = (1 << n) - 1
-    for g in connected_graphs(n):
-        assert len(synth._reverse_component_word(g.rows, full)) >= 3 * n, g.edges()
-
-
-def test_transform_component_matches_building_both_words():
-    # every connected class with 2 <= n <= 5 and every nonempty flip set
-    from locinv.oracle import connected_graphs
-
-    for n in range(2, 6):
-        full = (1 << n) - 1
-        for g in connected_graphs(n):
-            for diff in range(1, full + 1):
-                got = synth._transform_component(g.rows, full, diff)
-                assert got == transform_component_reference(g.rows, full, diff), (g.edges(), diff)
+    rng = random.Random(0x4A8)
+    for g in rng.sample(list(connected_graphs(8)), 200):
+        for s in rng.sample(range(1, 1 << 8), 16):
+            assert_four_letters_per_touched_vertex(g, s, rng)
+    for degree in (1, 3):
+        g = recoloring_graph(rng, 16384, degree)
+        s = sum(1 << v for v in range(g.n) if g.rows[v] and rng.random() < 0.5)
+        assert_four_letters_per_touched_vertex(g, s, rng)
 
 
 def test_transform_disconnected_graph():
@@ -578,36 +621,36 @@ def test_transform_strategy_tags():
     g = Graph.star(5)
     cw = transform_word(g, all_plus(5), (1, -1, -1, -1, -1))
     assert cw.construction == "transform/fix-V1"
-    # flipping four of five vertices of K5 is cheaper via the complement
     k5 = Graph.complete(5)
     cw = transform_word(k5, all_plus(5), (1, -1, -1, -1, -1))
-    assert cw.construction in ("transform/fix-V1", "transform/flip-V0-then-all")
+    assert cw.construction == "transform/fix-V1"
     assert len(cw.word) <= cw.bound
 
 
 def test_transform_tie_keeps_the_disagreement_word():
-    # recoloring vertices 0, 1 and 3 of P4: flipping them directly and
-    # flipping vertex 2 before reversing all of P4 both take 13 letters;
-    # on a tie the direct word wins
+    # recoloring vertices 0, 1 and 3 of P4 flips them directly: the edge
+    # gadget on 01, then a 7-letter single flip of 3
     g = Graph.path(4)
-    diff, comp = 0b1011, 0b1111
-    fix = synth._flip_set_word(g.rows, diff)
-    alt = synth._flip_set_word(g.rows, comp & ~diff) + synth._reverse_component_word(g.rows, comp)
-    assert len(fix) == len(alt) == 13 and fix != alt
+    fix = synth._flip_set_word(g.rows, 0b1011)
     cw = transform_word(g, all_plus(4), (-1, -1, 1, -1))
     assert cw.construction == "transform/fix-V1"
     assert cw.word == fix == (0, 1, 0, 1, 0, 1, 2, 3, 1, 3, 2, 1, 3)
 
 
 def test_transform_complement_strategy_wins_on_large_star_leaves():
-    # recoloring every leaf of a big star: pairing the leaves costs 8 per
-    # pair, but flipping the center and reversing the whole star is shorter
+    # recoloring every leaf of a big star: the leaves pair up through the
+    # centre, whose letters cancel between pairs, and the ninth leaf takes
+    # a 7-letter single flip: 31 letters, 2 fewer than flipping the centre
+    # and reversing the whole star
     g = Graph.star(10)
     f = all_plus(10)
     t = (1,) + (-1,) * 9
     cw = transform_word(g, f, t)
-    assert cw.construction == "transform/flip-V0-then-all"
-    assert len(cw.word) <= cw.bound
+    assert cw.construction == "transform/fix-V1"
+    assert cw.word == (
+        0, 1, 2, 1, 2, 1, 2, 3, 4, 3, 4, 3, 4, 5, 6, 5, 6, 5, 6, 7, 8, 7, 8, 7, 8, 9, 1, 9, 0, 1, 9,
+    )
+    assert (len(cw.word), cw.bound) == (31, 53)
     assert apply_word(BicoloredGraph(g, f), cw.word) == BicoloredGraph(g, t)
     verify_certificate(g, cw)
 
@@ -732,13 +775,8 @@ def test_color_reversal_word_checks_its_own_word(monkeypatch):
 
 
 def test_transform_word_checks_its_own_word(monkeypatch):
-    real = synth._transform_component
-
-    def dropped_letter(g, comp, diff):
-        word, tag = real(g, comp, diff)
-        return word[:-1], tag
-
-    monkeypatch.setattr(synth, "_transform_component", dropped_letter)
+    real = synth._flip_set_word
+    monkeypatch.setattr(synth, "_flip_set_word", lambda rows, s: real(rows, s)[:-1])
     with pytest.raises(VerificationError):
         transform_word(Graph.path(4), (1, 1, 1, 1), (-1, 1, 1, 1))
 
@@ -748,11 +786,9 @@ def test_both_builders_raise_a_witness_that_rebuilds_the_call(monkeypatch):
     # record's own witness (word and bound only) never reaches a caller
     g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
     old, new = (1, 1, 1, 1, 1, 1), (-1, 1, 1, -1, -1, 1)
-    reverse, transform = synth._reverse_component_word, synth._transform_component
+    reverse, flip_set = synth._reverse_component_word, synth._flip_set_word
     monkeypatch.setattr(synth, "_reverse_component_word", lambda rows, comp: reverse(rows, comp) * 2)
-    monkeypatch.setattr(
-        synth, "_transform_component", lambda rows, comp, diff: (transform(rows, comp, diff)[0] * 4, "t")
-    )
+    monkeypatch.setattr(synth, "_flip_set_word", lambda rows, s: flip_set(rows, s) * 4)
     for build, args, instance in (
         (color_reversal_word, (g,), {}),
         (transform_word, (g, old, new), {"from": old, "to": new}),
