@@ -486,10 +486,11 @@ def local_inversion(b: BicoloredGraph, a: int) -> BicoloredGraph:
 
 
 def flip(b: BicoloredGraph, s: Iterable[int]) -> BicoloredGraph:
-    """Negate the colors on ``s``; the graph is unchanged."""
-    sm = mask_of(s)
-    if sm >> b.graph.n:
-        raise ValueError("flip set mentions vertices outside the graph")
+    """Negate the colors on ``s``, vertices in ``0..n-1`` (else ValueError); the graph is unchanged."""
+    sm = 0
+    for v in s:
+        b.graph._check_vertex(v)
+        sm |= 1 << v
     return BicoloredGraph(b.graph, _negate(b.coloring, sm))
 
 

@@ -351,13 +351,16 @@ def connected_graphs(n: int) -> Iterator[Graph]:
 
 
 def survey(n_max: int, *, graph6_lines: Iterable[str] | None = None, jobs: int = 1) -> list[CrReport]:
-    """Exact reports for every connected graph with 2..n_max vertices.
+    """Exact reports for every connected graph with 2..n_max vertices, or for each graph6 line.
 
     ``n_max`` above :data:`MAX_CAP` raises :class:`CapExceededError` first,
     and a negative one :class:`ValueError`.
-    Graphs come from ``graph6_lines`` when given (filtered to at most
-    ``n_max`` vertices) and from internal isomorphism-free enumeration
-    otherwise, and reach :func:`exact_cr` as :class:`Graph` values.
+    Graphs come from ``graph6_lines`` when given, filtered to at most
+    ``n_max`` vertices and otherwise taken as they come, so graphs of order
+    0 or 1 and disconnected graphs (``?``, ``@``, ``B_``) get reports too.
+    Without them, internal isomorphism-free enumeration gives the connected
+    graphs of order 2 and up.  Either way they reach :func:`exact_cr` as
+    :class:`Graph` values.
     Workers share nothing; results keep input order, so the output is
     deterministic for fixed inputs.  ``jobs`` below 1 raises ValueError;
     more are capped at the CPU count, since more workers than cores only

@@ -1,28 +1,25 @@
-"""Structural decompositions that feed word synthesis.
+"""The two decompositions behind odd-tree and even-subgraph reversal.
 
-Both constructions work on neighbour bitmask rows of a host graph
-(``rows[v]`` as in :attr:`locinv.graph_core.Graph.rows`) restricted to a
-vertex set given as an ``int`` mask, so a piece of a larger graph is
-decomposed in place, with no relabelled copy.  A :class:`RootedTree`
-validates a tree given by its edges and exposes it in the same encoding:
-:meth:`RootedTree.rows` maps each tree vertex to its neighbour mask.
+Both work on neighbour bitmask rows of a host graph (``rows[v]`` as in
+:attr:`locinv.graph_core.Graph.rows`) restricted to a vertex set given as
+an ``int`` mask, so a piece of a larger graph is decomposed in place, with
+no relabelled copy.
 
-* :func:`_p3_rows` splits the edges of a rooted odd tree (every vertex of
-  odd degree) into length-2 paths plus a single edge at the root, with the
-  properties the synthesizer relies on: path ends are children of their
-  center, the root is an end of the single edge, and every vertex is an
-  end of exactly one piece.  :func:`p3_partition` is its
-  :class:`RootedTree` form, run on the tree's rows.
+* :func:`perfect_forest` finds a spanning forest of a connected even-order
+  induced subgraph whose trees are induced subgraphs and odd trees (every
+  vertex of odd degree), one vertex mask per tree.  It starts from an
+  odd-degree spanning subforest of a BFS tree, which is acyclic, so no
+  cycle needs removing, and then resolves chords one component at a time
+  from a worklist, splitting with
+  :func:`locinv.graph_core.component_masks`; each swap preserves every
+  degree parity and strictly shrinks the edge set, so the loop terminates
+  with induced odd trees.
 
-* :func:`_forest_masks` finds a spanning forest of a connected even-order
-  induced subgraph whose trees are induced subgraphs and odd trees, one
-  vertex mask per tree.  It starts from an odd-degree spanning subforest
-  of a BFS tree, which is acyclic, so no cycle needs removing, and then
-  resolves chords one component at a time from a worklist, splitting
-  with :func:`locinv.graph_core.component_masks`; each swap
-  preserves every degree parity and strictly shrinks the edge set, so the
-  loop terminates with induced odd trees.  :func:`perfect_forest` is its
-  edge-tuple form for a whole graph.
+* :func:`p3_partition` splits the edges of such a tree, rooted at one of
+  its vertices, into length-2 paths plus a single edge at the root, with
+  the properties the synthesizer relies on: path ends are children of
+  their centre, the root is an end of the single edge, and every vertex is
+  an end of exactly one piece.
 
 Both run in time polynomial in the graph size and are deterministic: ties
 break toward smaller vertex ids throughout.
@@ -33,112 +30,52 @@ from __future__ import annotations
 from itertools import takewhile
 from typing import Sequence
 
-from .graph_core import Graph, _Record, bfs_layers, component_masks, iter_bits, mask_of, reachable_mask
-
-Edge = tuple[int, int]
+from .graph_core import bfs_layers, component_masks, iter_bits
 
 
-def _norm_edge(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
-
-
-class RootedTree(_Record):
-    """A tree on an arbitrary vertex set with a distinguished root.
-
-    The constructor sorts the edges and checks that they span the vertex
-    set as a tree; :meth:`rows` gives the tree's neighbour bitmasks.
-    """
-
-    __slots__ = ("vertices", "edges", "root")
-    vertices: frozenset[int]
-    edges: tuple[Edge, ...]
-    root: int
-
-    def __post_init__(self) -> None:
-        vs = frozenset(self.vertices)
-        es = tuple(sorted(_norm_edge(u, v) for u, v in self.edges))
-        object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "edges", es)
-        if self.root not in vs:
-            raise ValueError(f"root {self.root} not among the tree vertices")
-        if len(es) != len(vs) - 1:
-            raise ValueError(f"{len(vs)} vertices need {len(vs) - 1} tree edges, got {len(es)}")
-        for u, v in es:
-            if u not in vs or v not in vs:
-                raise ValueError(f"edge ({u}, {v}) leaves the vertex set")
-        tree = mask_of(vs)
-        if reachable_mask(self.rows(), self.root, tree) != tree:
-            raise ValueError("tree edges do not connect the vertex set")
-
-    def rows(self) -> dict[int, int]:
-        """Neighbour bitmask of each tree vertex, in the encoding of :attr:`Graph.rows`."""
-        rows = dict.fromkeys(self.vertices, 0)
-        for u, v in self.edges:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return rows
-
-    def is_odd_tree(self) -> bool:
-        return all(row.bit_count() & 1 for row in self.rows().values())
-
-
-class EdgePartition(_Record):
-    """Edges of an odd tree split into (end, center, end) triples plus one edge.
-
-    The single edge keeps the root as its first entry.
-    """
-
-    __slots__ = ("p3s", "k2")
-    p3s: tuple[tuple[int, int, int], ...]
-    k2: Edge
-
-
-def _p3_rows(rows: Sequence[int], tree: int, root: int) -> EdgePartition:
+def p3_partition(rows: Sequence[int], tree: int, root: int) -> tuple[tuple[tuple[int, int, int], ...], int]:
     """P3 partition of the odd tree on the vertex mask ``tree``, rooted at ``root``.
 
-    ``tree`` must be an induced odd tree of ``rows``, so its edges are
-    ``rows[v] & tree``.  This is the peel of :func:`p3_partition` read off
-    the layers of :func:`locinv.graph_core.bfs_layers` from the root: the
+    Returns the (end, centre, end) triples and ``v``, the root's partner in
+    the final edge.  ``tree`` must be an induced odd tree of ``rows`` that
+    contains ``root``, so its edges are ``rows[x] & tree``; otherwise
+    :class:`ValueError`.  The check reads each vertex's degree in the tree
+    (odd, summing to 2(k-1)) and the layers of
+    :func:`locinv.graph_core.bfs_layers` from the root (covering ``tree``).
+
+    The peel follows the inductive argument and reads those layers: the
     vertices of the deepest layer are leaves, and the deepest vertices next
-    to a leaf are their parents one layer up.  So the smallest such parent
-    gives up its two smallest leaf children as a triple, again and again,
-    until it has none (every non-root vertex has an even number of
-    children), then the next parent in increasing order, then the layer
-    above.  The root keeps its largest child, which forms the final edge.
+    to a leaf are their parents one layer up.  Every non-root vertex has an
+    even number of children, so the smallest such parent gives up its two
+    smallest leaf children ``u < w`` as the triple (u, parent, w), again and
+    again, until it has none, then the next parent in increasing order,
+    then the layer above.  The root keeps its largest child, which forms the
+    final edge.
     """
+    if tree >> len(rows) or not tree >> root & 1:
+        raise ValueError(f"the tree mask must lie inside 0..{len(rows) - 1} and hold the root {root}")
     layers = list(bfs_layers(rows, root, tree))
+    degrees = 0
+    for x in iter_bits(tree):
+        deg = (rows[x] & tree).bit_count()
+        if not deg & 1:
+            raise ValueError(f"vertex {x} has even degree {deg} in the tree")
+        degrees += deg
+    if sum(layers) != tree or degrees != 2 * (tree.bit_count() - 1):
+        raise ValueError("the vertex mask does not induce a tree")
     triples: list[tuple[int, int, int]] = []
     for d in range(len(layers) - 1, 0, -1):
         below = layers[d]
-        for v in iter_bits(layers[d - 1]):
-            kids = rows[v] & below
+        for x in iter_bits(layers[d - 1]):
+            kids = rows[x] & below
             while kids & (kids - 1):
                 u = kids & -kids
                 kids ^= u
                 w = kids & -kids
                 kids ^= w
-                triples.append((u.bit_length() - 1, v, w.bit_length() - 1))
+                triples.append((u.bit_length() - 1, x, w.bit_length() - 1))
     # the last parent visited is the root, left with one child
-    return EdgePartition(tuple(triples), (root, kids.bit_length() - 1))
-
-
-def p3_partition(t: RootedTree) -> EdgePartition:
-    """Partition an even-order odd tree into (end, center, end) triples and one edge.
-
-    Follows the inductive peeling argument: take the deepest vertex ``v``
-    adjacent to a leaf (smallest id on ties); all its children are then
-    leaves, and since deg(v) is odd and at least 3 it has two leaf children
-    ``u < w`` to detach as the triple (u, v, w).  What remains is a smaller
-    odd tree; after (n-2)/2 rounds only the root and one neighbor survive,
-    forming the final edge.  The tree's :meth:`RootedTree.rows` are
-    partitioned by :func:`_p3_rows`.
-    """
-    n = len(t.vertices)
-    if n < 2 or n % 2 == 1:
-        raise ValueError(f"need an even vertex count >= 2, got {n}")
-    if not t.is_odd_tree():
-        raise ValueError("every tree vertex must have odd degree")
-    return _p3_rows(t.rows(), mask_of(t.vertices), t.root)
+    return tuple(triples), kids.bit_length() - 1
 
 
 def _odd_spanning_rows(rows: Sequence[int], within: int) -> list[int]:
@@ -193,13 +130,14 @@ def _swap_chord(f: list[int], u: int, v: int) -> None:
     f[v] |= 1 << u
 
 
-def _forest_masks(rows: Sequence[int], within: int) -> list[int]:
+def perfect_forest(rows: Sequence[int], within: int) -> list[int]:
     """Perfect forest of the subgraph of ``rows`` induced by ``within``, one mask per tree.
 
-    The subgraph must be connected with an even vertex count.  The forest
-    is a list of rows, one neighbour bitmask per vertex, and starts as
-    :func:`_odd_spanning_rows`, which is acyclic with every degree odd.  A
-    worklist holds vertex masks, each split into forest components by
+    The subgraph must be connected with an even vertex count, or
+    :class:`ValueError` is raised.  The forest is a list of rows, one
+    neighbour bitmask per vertex, and starts as :func:`_odd_spanning_rows`,
+    which is acyclic with every degree odd.  A worklist holds vertex masks,
+    each split into forest components by
     :func:`locinv.graph_core.component_masks`.  A component with a chord (a
     graph edge between two of its vertices that is not a forest edge) takes
     its lexicographically first chord in place of the tree path between the
@@ -239,18 +177,3 @@ def _forest_masks(rows: Sequence[int], within: int) -> list[int]:
         if degrees != 2 * (comp.bit_count() - 1):
             raise RuntimeError(f"forest piece {sorted(iter_bits(comp))} is not a tree")
     return done
-
-
-def perfect_forest(g: Graph) -> tuple[tuple[Edge, ...], ...]:
-    """Spanning forest of induced odd trees of a connected even-order graph.
-
-    The trees of :func:`_forest_masks` on all of ``g``, as sorted edge
-    tuples ordered by smallest vertex.  Raises :class:`ValueError` on an
-    odd-order or disconnected graph and :class:`RuntimeError` if the
-    forest fails its postcondition.
-    """
-    rows = g.rows
-    return tuple(
-        tuple((u, v) for u in iter_bits(comp) for v in iter_bits(rows[u] & comp & ~((2 << u) - 1)))
-        for comp in _forest_masks(rows, (1 << g.n) - 1)
-    )

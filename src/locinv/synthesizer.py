@@ -63,12 +63,7 @@ from .graph_core import (
     reduce_word,
     replay,
 )
-from .partitioner import (  # noqa: F401  p3_partition, perfect_forest: wrapped by bench/tracer.py
-    _forest_masks,
-    _p3_rows,
-    p3_partition,
-    perfect_forest,
-)
+from .partitioner import p3_partition, perfect_forest
 
 
 class CertifiedWord(_Record):
@@ -162,7 +157,8 @@ def _odd_tree_word(rows: Sequence[int], tree: int, r: int) -> Word:
     """Reversal word of the induced odd tree on the vertex mask ``tree``, ending with ``r``.
 
     The word has length exactly 4k-4 for a k-vertex tree (k even, at least
-    4).  It is assembled from the tree's path partition: an 8-letter
+    4).  It is assembled from the tree's path partition
+    (:func:`locinv.partitioner.p3_partition`): an 8-letter
     path-ends gadget per triple, except that the triple meeting the root
     edge merges with the edge gadget into a single 12-letter block, which
     closes the word.  ``rows`` are the host graph's rows; the tree is
@@ -170,17 +166,16 @@ def _odd_tree_word(rows: Sequence[int], tree: int, r: int) -> Word:
     with ``r``; :func:`_odd_subgraph_word`, which needs a word starting
     with its shared letter, reverses its seven-letter gadget instead.
     """
-    part = _p3_rows(rows, tree, r)
-    v = part.k2[1]
+    p3s, v = p3_partition(rows, tree, r)
 
     if (rows[r] & tree).bit_count() > 1:
         # r centers some triple; merge the root edge with one of them
-        x, _, y = next(tr for tr in part.p3s if tr[1] == r)
-        rest = [tr for tr in part.p3s if tr != (x, r, y)]
+        x, _, y = next(tr for tr in p3s if tr[1] == r)
+        rest = [tr for tr in p3s if tr != (x, r, y)]
         block = (v, r, v, r, v) + (x, y, x, y, x, y, r)
     else:
-        x, _, y = next(tr for tr in part.p3s if tr[1] == v)
-        rest = [tr for tr in part.p3s if tr != (x, v, y)]
+        x, _, y = next(tr for tr in p3s if tr[1] == v)
+        rest = [tr for tr in p3s if tr != (x, v, y)]
         block = (v, x, y, x, y, x, y) + (r, v, r, v, r)
 
     word: list[int] = []
@@ -201,7 +196,7 @@ def _even_subgraph_word(rows: Sequence[int], within: int, v: int) -> Word:
     on.  Total length is at most 4k-4 for k vertices.
     """
     parts: list[int] = []
-    for tree in _forest_masks(rows, within):
+    for tree in perfect_forest(rows, within):
         if (tree >> v) & 1:
             v_tree = tree
         elif tree.bit_count() == 2:

@@ -14,8 +14,7 @@ from itertools import permutations, product
 
 import locinv.synthesizer as synth
 from locinv.cli import main
-from locinv.graph_core import BicoloredGraph, Graph, component_masks, iter_bits, reachable_mask, upper_rows
-from locinv.partitioner import Edge, EdgePartition, RootedTree
+from locinv.graph_core import BicoloredGraph, Graph, component_masks, iter_bits, mask_of, reachable_mask, upper_rows
 
 
 # -- random instances ----------------------------------------------------
@@ -40,8 +39,8 @@ def random_connected_graph(rng: random.Random, n: int, extra: float = 0.3) -> Gr
     return Graph.from_edges(n, edges)
 
 
-def random_odd_tree(rng: random.Random, n: int) -> RootedTree:
-    """Random tree with all degrees odd, on n (even) relabeled vertices.
+def random_odd_tree(rng: random.Random, n: int) -> tuple[Graph, int]:
+    """Random tree with all degrees odd, on n (even) relabeled vertices, and a random root.
 
     Grown by repeatedly attaching two fresh leaves to a random vertex,
     which preserves every degree parity; any odd tree arises this way.
@@ -57,7 +56,7 @@ def random_odd_tree(rng: random.Random, n: int) -> RootedTree:
     relabel = list(range(n))
     rng.shuffle(relabel)
     shuffled = [(relabel[u], relabel[v]) for u, v in edges]
-    return RootedTree(frozenset(range(n)), tuple(shuffled), rng.randrange(n))
+    return Graph.from_edges(n, shuffled), rng.randrange(n)
 
 
 def random_coloring(rng: random.Random, n: int) -> tuple[int, ...]:
@@ -133,20 +132,15 @@ def induced_subgraph(g: Graph, s) -> tuple[Graph, tuple[int, ...]]:
     return Graph.from_edges(len(ids), edges), ids
 
 
-def tree_adjacency(t: RootedTree) -> dict[int, set[int]]:
-    """Neighbour sets of the vertices of ``t``, read off its edge tuple."""
-    adj: dict[int, set[int]] = {v: set() for v in t.vertices}
-    for u, v in t.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
+def tree_adjacency(rows, tree: int) -> dict[int, set[int]]:
+    """Neighbour sets of the subgraph of ``rows`` induced by the vertex mask ``tree``."""
+    return {v: set(iter_bits(rows[v] & tree)) for v in iter_bits(tree)}
 
 
-def tree_depths(t: RootedTree) -> dict[int, int]:
-    """Distance of every vertex of ``t`` from its root."""
-    adj = tree_adjacency(t)
-    depth = {t.root: 0}
-    queue = deque([t.root])
+def tree_depths(adj: dict[int, set[int]], root: int) -> dict[int, int]:
+    """Distance from ``root`` of every vertex reachable in the neighbour sets ``adj``."""
+    depth = {root: 0}
+    queue = deque([root])
     while queue:
         x = queue.popleft()
         for y in adj[x]:
@@ -306,16 +300,17 @@ def flip_set_word_reference(rows, s: int):
     return tuple(parts)
 
 
-def perfect_forest_reference(g: Graph) -> tuple[tuple[Edge, ...], ...]:
-    """Edge-set perfect forest, the construction before bitmask rows.
+def perfect_forest_reference(g: Graph) -> list[int]:
+    """Edge-set perfect forest, the construction before bitmask rows, one vertex mask per tree.
 
     Grows a BFS tree from vertex 0 on dict adjacency, keeps a vertex's
     parent edge when its degree so far is even (children first), then
     swaps chords on edge tuples: after every swap the scan restarts at the
     component with the smallest vertex and takes the lexicographically
-    first chord.  :func:`locinv.partitioner.perfect_forest` must return
-    the same forest.  The start is checked to be acyclic, which is why the
-    cycle pass this construction once had never removed an edge.
+    first chord.  :func:`locinv.partitioner.perfect_forest` on the whole
+    vertex set must return the same forest.  The start is checked to be
+    acyclic, which is why the cycle pass this construction once had never
+    removed an edge.
     """
     n = g.n
     parent = {0: None}
@@ -396,26 +391,23 @@ def perfect_forest_reference(g: Graph) -> tuple[tuple[Edge, ...], ...]:
         else:
             break
 
-    trees = []
-    for comp, _ in forest_components():
-        cs = set(comp)
-        trees.append(tuple(sorted(e for e in fset if e[0] in cs)))
-    return tuple(trees)
+    return [mask_of(comp) for comp, _ in forest_components()]
 
 
-def p3_partition_reference(t: RootedTree) -> EdgePartition:
+def p3_partition_reference(rows, tree: int, root: int) -> tuple[tuple[tuple[int, int, int], ...], int]:
     """Dict-adjacency P3 partition, the construction before bitmask rows.
 
-    Each round recomputes the leaves and peels two leaf children off the
-    deepest vertex next to a leaf (smallest id on ties), until the root
-    and one neighbour remain.  :func:`locinv.partitioner._p3_rows` must
-    return the same partition.
+    The odd tree is the subgraph of ``rows`` induced by the vertex mask
+    ``tree``.  Each round recomputes the leaves and peels two leaf children
+    off the deepest vertex next to a leaf (smallest id on ties), until the
+    root and one neighbour remain.  :func:`locinv.partitioner.p3_partition`
+    must return the same triples and the same partner of the root.
     """
-    n = len(t.vertices)
-    adj = tree_adjacency(t)
+    adj = tree_adjacency(rows, tree)
+    n = len(adj)
     assert n >= 2 and n % 2 == 0, "reference needs an even vertex count"
     assert all(len(nb) % 2 == 1 for nb in adj.values()), "reference needs an odd tree"
-    depth = tree_depths(t)
+    depth = tree_depths(adj, root)
     triples = []
     while len(adj) > 2:
         leaves = {x for x, nb in adj.items() if len(nb) == 1}
@@ -431,9 +423,8 @@ def p3_partition_reference(t: RootedTree) -> EdgePartition:
             adj[v].discard(x)
             del adj[x]
     (a, b) = sorted(adj)
-    assert t.root in (a, b), "the root survives every peeling round"
-    other = b if a == t.root else a
-    return EdgePartition(tuple(triples), (t.root, other))
+    assert root in (a, b), "the root survives every peeling round"
+    return tuple(triples), b if a == root else a
 
 
 def labeled_odd_trees(n: int):
@@ -493,71 +484,47 @@ def odd_tree_shapes(n: int) -> list[tuple[tuple[int, int], ...]]:
     return list(level.values())
 
 
-def check_p3_partition(t: RootedTree, part: EdgePartition) -> None:
-    """Validate the partition conditions directly from the definitions."""
-    n = len(t.vertices)
-    assert len(part.p3s) == (n - 2) // 2, "triple count must be (n-2)/2"
+def check_p3_partition(rows, tree: int, root: int, part) -> None:
+    """Validate the partition ``(p3s, v)`` of the odd tree on the mask ``tree``, from the definitions."""
+    p3s, partner = part
+    adj = tree_adjacency(rows, tree)
+    assert len(p3s) == (len(adj) - 2) // 2, "triple count must be (n-2)/2"
 
     used = []
-    for end_a, center, end_b in part.p3s:
+    for end_a, center, end_b in p3s:
         used.append(tuple(sorted((end_a, center))))
         used.append(tuple(sorted((center, end_b))))
-    used.append(tuple(sorted(part.k2)))
+    used.append(tuple(sorted((root, partner))))
     assert len(used) == len(set(used)), "pieces reuse an edge"
-    assert sorted(set(used)) == sorted(t.edges), "pieces must cover E(T) exactly"
+    edges = sorted((u, v) for u, nb in adj.items() for v in nb if u < v)
+    assert sorted(set(used)) == edges, "pieces must cover E(T) exactly"
 
-    depth = tree_depths(t)
-    for end_a, center, end_b in part.p3s:
+    depth = tree_depths(adj, root)
+    for end_a, center, end_b in p3s:
         assert depth[end_a] == depth[center] + 1, "triple end must be a child of its center"
         assert depth[end_b] == depth[center] + 1, "triple end must be a child of its center"
 
-    assert t.root in part.k2, "the root must be an end of the single edge"
-
-    end_count = {v: 0 for v in t.vertices}
-    for end_a, _, end_b in part.p3s:
+    end_count = dict.fromkeys(adj, 0)
+    for end_a, _, end_b in p3s:
         end_count[end_a] += 1
         end_count[end_b] += 1
-    for v in part.k2:
+    for v in (root, partner):
         end_count[v] += 1
     assert all(c == 1 for c in end_count.values()), "each vertex ends exactly one piece"
 
 
-def check_perfect_forest(g: Graph, forest: tuple[tuple[Edge, ...], ...]) -> None:
-    """Validate spanning, disjoint, induced, odd, treeness from definitions."""
-    seen: set[int] = set()
+def check_perfect_forest(g: Graph, forest: list[int]) -> None:
+    """Validate a forest of vertex masks: spanning, disjoint, and each mask inducing an odd tree."""
+    seen = 0
     for tree in forest:
-        vs = {v for e in tree for v in e}
-        assert not (vs & seen), "trees must be vertex-disjoint"
-        seen |= vs
-
-        deg = {v: 0 for v in vs}
-        for u, v in tree:
-            assert g.has_edge(u, v), "forest edge missing from the graph"
-            deg[u] += 1
-            deg[v] += 1
-        assert all(d % 2 == 1 for d in deg.values()), "all degrees must be odd"
-
-        assert len(tree) == len(vs) - 1, "tree edge count"
-        adj = {v: set() for v in vs}
-        for u, v in tree:
-            adj[u].add(v)
-            adj[v].add(u)
-        start = next(iter(vs))
-        reach = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in reach:
-                    reach.add(y)
-                    queue.append(y)
-        assert reach == vs, "tree must be connected"
-
-        ordered = sorted(vs)
-        for i, u in enumerate(ordered):
-            for v in ordered[i + 1 :]:
-                assert g.has_edge(u, v) == ((u, v) in set(tree)), "tree must be induced"
-    assert seen == set(range(g.n)), "forest must span all vertices"
+        assert not tree & seen, "trees must be vertex-disjoint"
+        seen |= tree
+        vs = [v for v in range(g.n) if (tree >> v) & 1]
+        adj = {u: {v for v in vs if g.has_edge(u, v)} for u in vs}
+        assert all(len(nb) % 2 == 1 for nb in adj.values()), "all degrees must be odd"
+        assert sum(map(len, adj.values())) == 2 * (len(adj) - 1), "tree edge count"
+        assert len(tree_depths(adj, min(adj))) == len(adj), "tree must be connected"
+    assert seen == (1 << g.n) - 1, "forest must span all vertices"
 
 
 def cli_help_text() -> str:

@@ -19,7 +19,7 @@ from locinv.graph_core import (
     local_inversion,
 )
 from locinv.oracle import survey
-from locinv.partitioner import RootedTree, p3_partition, perfect_forest
+from locinv.partitioner import p3_partition, perfect_forest
 from locinv.synthesizer import (
     complete_word,
     gadget_edge,
@@ -209,13 +209,13 @@ def test_criterion_6_decomposition_suites():
     for _ in range(500):
         n = rng.choice(range(2, 15, 2))
         g = random_connected_graph(rng, n)
-        check_perfect_forest(g, perfect_forest(g))
+        check_perfect_forest(g, perfect_forest(g.rows, (1 << n) - 1))
     for _ in range(500):
         n = rng.choice(range(4, 16, 2))
-        t = random_odd_tree(rng, n)
-        part = p3_partition(t)
-        check_p3_partition(t, part)
-        assert len(part.p3s) == (n - 2) // 2
+        t, root = random_odd_tree(rng, n)
+        part = p3_partition(t.rows, (1 << n) - 1, root)
+        check_p3_partition(t.rows, (1 << n) - 1, root, part)
+        assert len(part[0]) == (n - 2) // 2
     elapsed = time.perf_counter() - t0
     report("6 decompositions", f"500 forests + 500 partitions validated, {elapsed:.2f}s")
 
@@ -258,8 +258,8 @@ def test_criterion_8_fixtures():
 
     # six-vertex tree partition: root r=0, children x=1, y=2, v=3; v has
     # children u=4, w=5
-    t = RootedTree(frozenset(range(6)), ((0, 1), (0, 2), (0, 3), (3, 4), (3, 5)), 0)
-    part = p3_partition(t)
-    assert part.p3s == ((4, 3, 5), (1, 0, 2))
-    assert part.k2 == (0, 3)
+    t = Graph.from_edges(6, ((0, 1), (0, 2), (0, 3), (3, 4), (3, 5)))
+    p3s, v = p3_partition(t.rows, 0b111111, 0)
+    assert p3s == ((4, 3, 5), (1, 0, 2))
+    assert v == 3
     report("8 fixtures", "local complement, inversion cycle, and tree partition reproduced")

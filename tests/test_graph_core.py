@@ -29,7 +29,6 @@ from locinv.graph_core import (
 
 from locinv.errors import BoundExceededError
 from locinv.oracle import CrReport, SurveySummary
-from locinv.partitioner import EdgePartition, RootedTree
 from locinv.synthesizer import CertifiedWord, color_reversal_word, transform_word
 
 from helpers import (
@@ -102,13 +101,6 @@ RECORDS = [
         "BicoloredGraph(graph=Graph(n=2, rows=(2, 1)), coloring=(1, -1))",
         ((Graph(2, (2, 1)), (1, 0)), ValueError, "color of vertex 1 is 0, expected -1 or +1"),
     ),
-    (
-        RootedTree,
-        (frozenset({1, 2, 3}), ((1, 2), (1, 3)), 1),
-        "RootedTree(vertices=frozenset({1, 2, 3}), edges=((1, 2), (1, 3)), root=1)",
-        ((frozenset({1, 2}), ((1, 2),), 5), ValueError, "root 5 not among the tree vertices"),
-    ),
-    (EdgePartition, (((0, 1, 2),), (1, 3)), "EdgePartition(p3s=((0, 1, 2),), k2=(1, 3))", None),
     (
         CertifiedWord,
         ((0, 1, 0), frozenset({1}), 9, "t"),
@@ -331,6 +323,14 @@ def test_flip_empty_and_involution():
         b = BicoloredGraph(g, random_coloring(rng, g.n))
         assert flip(b, ()) == b
         assert flip(flip(b, range(g.n)), range(g.n)) == b
+
+
+def test_flip_rejects_a_vertex_outside_the_graph():
+    b = BicoloredGraph(Graph.path(4), (1, -1, 1, 1))
+    for v in (-1, 4):
+        with pytest.raises(ValueError, match=rf"^vertex {v} outside 0\.\.3$"):
+            flip(b, [0, v])
+    assert flip(b, range(4)) == BicoloredGraph(Graph.path(4), (-1, 1, -1, -1))
 
 
 def test_flip_matches_edge_word():

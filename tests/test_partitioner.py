@@ -7,15 +7,7 @@ import pytest
 
 import locinv.partitioner as partitioner
 from locinv.graph_core import Graph, iter_bits, mask_of, reachable_mask, upper_rows
-from locinv.partitioner import (
-    EdgePartition,
-    RootedTree,
-    _forest_masks,
-    _odd_spanning_rows,
-    _p3_rows,
-    p3_partition,
-    perfect_forest,
-)
+from locinv.partitioner import _odd_spanning_rows, p3_partition, perfect_forest
 
 from helpers import (
     check_p3_partition,
@@ -31,86 +23,76 @@ from helpers import (
 )
 
 
-# -- rooted trees ---------------------------------------------------------
-
-
-def test_rooted_tree_validation():
-    with pytest.raises(ValueError):
-        RootedTree(frozenset({0, 1, 2}), ((0, 1),), 0)  # too few edges
-    with pytest.raises(ValueError):
-        RootedTree(frozenset({0, 1}), ((0, 1),), 2)  # root outside
-    with pytest.raises(ValueError):
-        RootedTree(frozenset({0, 1, 2, 3}), ((0, 1), (2, 3), (0, 1)), 0)  # disconnected
-    with pytest.raises(ValueError, match=r"edge \(0, 5\) leaves the vertex set"):
-        RootedTree(frozenset({0, 1}), ((0, 5),), 0)
-
-
-def test_odd_tree_flag():
-    assert RootedTree(frozenset({0, 1}), ((0, 1),), 0).is_odd_tree()
-    assert not RootedTree(frozenset({0, 1, 2}), ((0, 1), (1, 2)), 0).is_odd_tree()
-
-
 # -- the path partition ------------------------------------------------------
 
 
 def test_partition_six_vertex_fixture():
     # root r=0 with children x=1, y=2, v=3; v has children u=4, w=5
-    t = RootedTree(
-        frozenset(range(6)),
-        ((0, 1), (0, 2), (0, 3), (3, 4), (3, 5)),
-        0,
-    )
-    part = p3_partition(t)
-    assert part.p3s == ((4, 3, 5), (1, 0, 2))
-    assert part.k2 == (0, 3)
-    check_p3_partition(t, part)
+    t = Graph.from_edges(6, ((0, 1), (0, 2), (0, 3), (3, 4), (3, 5)))
+    part = p3_partition(t.rows, 0b111111, 0)
+    assert part == (((4, 3, 5), (1, 0, 2)), 3)
+    check_p3_partition(t.rows, 0b111111, 0, part)
 
 
 def test_partition_single_edge():
-    t = RootedTree(frozenset({7, 2}), ((2, 7),), 7)
-    part = p3_partition(t)
-    assert part.p3s == ()
-    assert part.k2 == (7, 2)
+    t = Graph.from_edges(8, ((2, 7),))
+    assert p3_partition(t.rows, 1 << 2 | 1 << 7, 7) == ((), 2)
 
 
 def test_partition_star_rooted_at_leaf_and_center():
     star = Graph.star(4)
-    edges = tuple(star.edges())
     for root in range(4):
-        t = RootedTree(frozenset(range(4)), edges, root)
-        check_p3_partition(t, p3_partition(t))
+        check_p3_partition(star.rows, 0b1111, root, p3_partition(star.rows, 0b1111, root))
 
 
 def test_partition_checker_rejects_a_reused_edge():
     # helpers.py is registered for assertion rewriting, so its checks also
     # fire when the suite runs under python -O
-    t = RootedTree(frozenset(range(4)), tuple(Graph.star(4).edges()), 0)
     with pytest.raises(AssertionError):
-        check_p3_partition(t, EdgePartition(((1, 0, 2),), (0, 2)))
+        check_p3_partition(Graph.star(4).rows, 0b1111, 0, (((1, 0, 2),), 2))
 
 
 def test_partition_preconditions():
-    path3 = RootedTree(frozenset(range(3)), ((0, 1), (1, 2)), 0)
+    path3 = Graph.path(3)
     with pytest.raises(ValueError):
-        p3_partition(path3)  # odd vertex count
-    even_tree = RootedTree(frozenset(range(4)), ((0, 1), (1, 2), (2, 3)), 0)
+        p3_partition(path3.rows, 0b111, 0)  # odd vertex count
+    even_tree = Graph.path(4)
     with pytest.raises(ValueError):
-        p3_partition(even_tree)  # degree-2 vertices
+        p3_partition(even_tree.rows, 0b1111, 0)  # degree-2 vertices
+
+
+@pytest.mark.parametrize(
+    "g, tree, root",
+    [
+        (Graph.path(4), 0b0001, 0),  # one vertex
+        (Graph.path(4), 0b0011, 2),  # root outside the mask
+        (Graph.path(4), 0b0011, 4),  # root outside the graph
+        (Graph.path(4), 0b10011, 0),  # a mask vertex outside the graph
+        (Graph.path(4), 0b1111, 0),  # P4: two vertices of degree 2
+        (Graph.complete(4), 0b1111, 0),  # K4: every degree odd, but a cycle
+        (Graph.from_edges(4, [(0, 1), (2, 3)]), 0b1111, 0),  # 2K2: not connected
+    ],
+    ids=["one-vertex", "root-outside-mask", "root-outside-graph", "mask-outside-graph", "P4", "K4", "2K2"],
+)
+def test_partition_rejects_a_mask_that_is_not_an_odd_tree_at_its_root(g, tree, root):
+    # raised by a check, not an assert, so it also fires under python -O
+    with pytest.raises(ValueError):
+        p3_partition(g.rows, tree, root)
 
 
 def test_partition_random_odd_trees():
     rng = random.Random(41)
     for _ in range(80):
         n = rng.choice(range(4, 16, 2))
-        t = random_odd_tree(rng, n)
-        part = p3_partition(t)
-        check_p3_partition(t, part)
+        t, root = random_odd_tree(rng, n)
+        full = (1 << n) - 1
+        check_p3_partition(t.rows, full, root, p3_partition(t.rows, full, root))
 
 
 def test_partition_is_deterministic():
     rng = random.Random(43)
-    t = random_odd_tree(rng, 12)
-    assert p3_partition(t) == p3_partition(t)
+    t, root = random_odd_tree(rng, 12)
+    assert p3_partition(t.rows, (1 << 12) - 1, root) == p3_partition(t.rows, (1 << 12) - 1, root)
 
 
 def _tree_rows(n: int, edges) -> list[int]:
@@ -129,8 +111,7 @@ def test_p3_rows_match_reference_on_every_small_odd_tree():
         for edges in labeled_odd_trees(n):
             rows = _tree_rows(n, edges)
             for root in range(n):
-                expected = p3_partition_reference(RootedTree(frozenset(range(n)), edges, root))
-                assert _p3_rows(rows, full, root) == expected, (edges, root)
+                assert p3_partition(rows, full, root) == p3_partition_reference(rows, full, root), (edges, root)
                 count += 1
     assert count == 2 * 1 + 4 * 4 + 6 * 96 + 8 * 5888
 
@@ -141,6 +122,7 @@ def test_p3_rows_match_reference_on_every_ten_vertex_odd_tree():
     rng = random.Random(71)
     shapes = odd_tree_shapes(10)
     assert len(shapes) == 7
+    full = (1 << 10) - 1
     for shape in shapes:
         for k in range(31):
             perm = list(range(10))
@@ -149,20 +131,20 @@ def test_p3_rows_match_reference_on_every_ten_vertex_odd_tree():
             edges = tuple((perm[u], perm[v]) for u, v in shape)
             rows = _tree_rows(10, edges)
             for root in range(10):
-                expected = p3_partition_reference(RootedTree(frozenset(range(10)), edges, root))
-                assert _p3_rows(rows, (1 << 10) - 1, root) == expected, (edges, root)
+                assert p3_partition(rows, full, root) == p3_partition_reference(rows, full, root), (edges, root)
 
 
 def test_p3_rows_match_reference_inside_a_host_graph():
     # random odd trees placed on random vertices of a larger host graph,
-    # whose other vertices see the tree: the partition reads only rows & tree
+    # whose other vertices see the tree: the partition reads only rows & tree,
+    # so it equals the reference on the tree alone
     rng = random.Random(73)
     for _ in range(300):
         k = rng.choice(range(2, 41, 2))
         n = k + rng.randrange(0, 25)
-        t = random_odd_tree(rng, k)
+        t, t_root = random_odd_tree(rng, k)
         place = rng.sample(range(n), k)
-        edges = [(place[u], place[v]) for u, v in t.edges]
+        edges = [(place[u], place[v]) for u, v in t.edges()]
         host = random_graph(rng, n, rng.choice((0.1, 0.5, 0.9)))
         rows = list(host.rows)
         tree = mask_of(place)
@@ -175,10 +157,10 @@ def test_p3_rows_match_reference_inside_a_host_graph():
             for y in iter_bits(rows[x]):
                 rows[y] |= 1 << x
         g = Graph(n, tuple(rows))
-        assert all(g.rows[v] & tree == _tree_rows(n, edges)[v] for v in place)
-        root = place[t.root]
-        expected = p3_partition_reference(RootedTree(frozenset(place), tuple(edges), root))
-        assert _p3_rows(g.rows, tree, root) == expected
+        alone = _tree_rows(n, edges)
+        assert all(g.rows[v] & tree == alone[v] for v in place)
+        root = place[t_root]
+        assert p3_partition(g.rows, tree, root) == p3_partition_reference(alone, tree, root)
 
 
 # -- odd-degree spanning subgraph -----------------------------------------------
@@ -211,15 +193,18 @@ def test_spanning_subgraph_preconditions():
 # -- perfect forest --------------------------------------------------------------
 
 
+def _forest(g: Graph) -> list[int]:
+    return perfect_forest(g.rows, (1 << g.n) - 1)
+
+
 def test_perfect_forest_k2():
-    forest = perfect_forest(Graph.complete(2))
-    assert forest == (((0, 1),),)
+    assert _forest(Graph.complete(2)) == [0b11]
 
 
 def test_perfect_forest_k4_is_a_matching():
-    forest = perfect_forest(Graph.complete(4))
+    forest = _forest(Graph.complete(4))
     assert len(forest) == 2
-    assert all(len(tree) == 1 for tree in forest)
+    assert all(tree.bit_count() == 2 for tree in forest)
     check_perfect_forest(Graph.complete(4), forest)
     # no induced tree of K4 has more than 2 vertices: any 3 vertices
     # induce a triangle, which is not acyclic
@@ -231,14 +216,11 @@ def test_perfect_forest_k4_is_a_matching():
 
 
 def test_perfect_forest_p4():
-    forest = perfect_forest(Graph.path(4))
-    assert forest == (((0, 1),), ((2, 3),))
+    assert _forest(Graph.path(4)) == [0b0011, 0b1100]
 
 
 def test_perfect_forest_of_odd_tree_is_the_tree():
-    star = Graph.star(4)
-    forest = perfect_forest(star)
-    assert forest == (tuple(star.edges()),)
+    assert _forest(Graph.star(4)) == [0b1111]
 
 
 def test_perfect_forest_random():
@@ -246,20 +228,20 @@ def test_perfect_forest_random():
     for _ in range(80):
         n = rng.choice(range(2, 15, 2))
         g = random_connected_graph(rng, n)
-        check_perfect_forest(g, perfect_forest(g))
+        check_perfect_forest(g, _forest(g))
 
 
 def test_perfect_forest_deterministic():
     rng = random.Random(59)
     g = random_connected_graph(rng, 12)
-    assert perfect_forest(g) == perfect_forest(g)
+    assert _forest(g) == _forest(g)
 
 
 def test_perfect_forest_preconditions():
-    with pytest.raises(ValueError):
-        perfect_forest(Graph.path(5))
-    with pytest.raises(ValueError):
-        perfect_forest(Graph.from_edges(4, [(0, 1), (2, 3)]))
+    with pytest.raises(ValueError, match="even vertex count"):
+        _forest(Graph.path(5))
+    with pytest.raises(ValueError, match="connected"):
+        _forest(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
 
 def test_perfect_forest_matches_reference_on_all_small_graphs():
@@ -272,7 +254,7 @@ def test_perfect_forest_matches_reference_on_all_small_graphs():
             if reachable_mask(rows, 0, full) != full:
                 continue
             g = Graph(n, tuple(rows))
-            assert perfect_forest(g) == perfect_forest_reference(g), g
+            assert _forest(g) == perfect_forest_reference(g), g
             count += 1
     assert count == 1 + 38 + 26704
 
@@ -283,7 +265,7 @@ def test_perfect_forest_matches_reference_on_random_graphs():
         n = rng.choice(range(2, 41, 2))
         extra = (0.02, 0.1, 0.3, 0.6, 0.9)[i % 5]
         g = random_connected_graph(rng, n, extra)
-        forest = perfect_forest(g)
+        forest = _forest(g)
         assert forest == perfect_forest_reference(g), g
         if i % 10 == 0:
             check_perfect_forest(g, forest)
@@ -300,7 +282,7 @@ def test_perfect_forest_postcondition_rejects_even_degrees(monkeypatch, g, start
     # raised by a check, not an assert, so it also fires under python -O
     monkeypatch.setattr(partitioner, "_odd_spanning_rows", start)
     with pytest.raises(RuntimeError, match="not an induced odd tree"):
-        perfect_forest(g)
+        _forest(g)
 
 
 def _random_connected_subset(rng: random.Random, g: Graph) -> int | None:
@@ -333,17 +315,14 @@ def test_forest_masks_on_a_vertex_mask_match_the_induced_copy():
         if s is None:
             continue
         sub, ids = induced_subgraph(g, iter_bits(s))
-        expected = [
-            mask_of(ids[v] for e in tree for v in e)
-            for tree in perfect_forest_reference(sub)
-        ]
-        assert _forest_masks(g.rows, s) == expected, (g, s)
+        expected = [mask_of(ids[v] for v in iter_bits(tree)) for tree in perfect_forest_reference(sub)]
+        assert perfect_forest(g.rows, s) == expected, (g, s)
         cases += 1
 
 
 def test_forest_masks_preconditions():
     g = Graph.path(6)
     with pytest.raises(ValueError, match="even vertex count"):
-        _forest_masks(g.rows, 0b111)
+        perfect_forest(g.rows, 0b111)
     with pytest.raises(ValueError, match="connected"):
-        _forest_masks(g.rows, 0b110011)
+        perfect_forest(g.rows, 0b110011)

@@ -20,6 +20,7 @@ from locinv.graph_core import (
     apply_word,
     component_masks,
     flip,
+    mask_of,
     reduce_word,
     replay,
 )
@@ -305,8 +306,7 @@ def test_reverse_odd_tree_random_roots_and_hosts():
     rng = random.Random(61)
     for _ in range(40):
         n = rng.choice(range(4, 13, 2))
-        t = random_odd_tree(rng, n)
-        g = Graph.from_edges(n, t.edges)
+        g, _ = random_odd_tree(rng, n)
         r = rng.randrange(n)
         word = synth._odd_tree_word(g.rows, (1 << n) - 1, r)
         assert len(word) == 4 * n - 4
@@ -462,6 +462,35 @@ def test_color_reversal_multi_component_bound():
     assert cw.bound == 4 * 7 - 3 * 3
     assert len(cw.word) <= cw.bound
     verify_certificate(g, cw)
+
+
+def test_builders_reach_the_partitioner_through_the_synthesizer_globals(monkeypatch):
+    # bench/tracer.py times the partitioner by wrapping these two attributes
+    # of locinv.synthesizer, so the builders must look them up there
+    seen = {"perfect_forest": [], "p3_partition": []}
+    for name, log in seen.items():
+        real = getattr(synth, name)
+
+        def counted(rows, mask, *rest, real=real, log=log):
+            log.append((mask, *rest))
+            return real(rows, mask, *rest)
+
+        monkeypatch.setattr(synth, name, counted)
+    star = [(0, v) for v in range(1, 6)]  # K_{1,5}: one odd tree on 6 vertices
+    double_star = [(6, 7), (6, 8), (6, 9), (7, 10), (7, 11)]  # one odd tree on 6 vertices
+    p5 = [(v, v + 1) for v in range(12, 16)]  # odd: 12 peels off, P4 on 13..16 is two K2
+    k4 = [(u, v) for u in range(17, 21) for v in range(u + 1, 21)]  # two K2
+    k2_and_triangle = [(21, 22), (23, 24), (24, 25), (23, 25)]  # no perfect forest
+    g = Graph.from_edges(26, star + double_star + p5 + k4 + k2_and_triangle)
+    color_reversal_word(g)
+    # perfect_forest once per even piece, p3_partition once per odd tree of order >= 4
+    assert seen["perfect_forest"] == [
+        (mask_of(range(0, 6)),),
+        (mask_of(range(6, 12)),),
+        (mask_of(range(13, 17)),),
+        (mask_of(range(17, 21)),),
+    ]
+    assert seen["p3_partition"] == [(mask_of(range(0, 6)), 0), (mask_of(range(6, 12)), 6)]
 
 
 def test_color_reversal_random():
