@@ -16,11 +16,11 @@ set when ``uv`` is an edge), and a vertex set is an ``int`` mask in the
 same encoding.  A local complementation costs O(deg) integer operations.
 :func:`replay` is the one word-replay loop, behind every move and word
 application; it also yields the flipped set, which does not depend on the
-starting coloring.  It decodes each letter's neighbourhood by density: a
-dense one through a byte table, a sparse one by peeling its top bit.  An
-alternating run ``a b a b ...`` on an edge ab costs at most three letters:
-``(ab)^3`` restores the graph and flips exactly {a, b}, so whole blocks of
-six letters are skipped.
+starting coloring.  It decodes each letter's neighbourhood by peeling its
+top bit, O(deg a) row operations per letter.  An alternating run
+``a b a b ...`` on an edge ab costs at most three letters: ``(ab)^3``
+restores the graph and flips exactly {a, b}, so whole blocks of six
+letters are skipped.
 :func:`bfs_layers` is the one breadth-first loop, :func:`component_masks`
 the one that splits a vertex mask into connected components, and
 :func:`cut_vertices` the one depth-first search.  All values are
@@ -146,9 +146,10 @@ class Graph(_Record):
     """Simple undirected labeled graph on vertices ``0..n-1``.
 
     ``rows[u]`` is the bitmask of neighbors of ``u``.  The relation is kept
-    symmetric and irreflexive; ``Graph(n, rows)`` raises :class:`ValueError`
-    on a violation.  The named constructors and the local-complement
-    operations build rows that hold this by construction and skip the check.
+    symmetric and irreflexive; ``Graph(n, rows)`` stores ``rows`` as a tuple
+    and raises :class:`ValueError` on a violation.  The named constructors and
+    the local-complement operations build rows that hold this by construction
+    and skip the check.
     """
 
     __slots__ = ("n", "rows")
@@ -169,6 +170,7 @@ class Graph(_Record):
         return g
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", tuple(self.rows))
         if self.n < 0 or len(self.rows) != self.n:
             raise ValueError(f"expected {self.n} adjacency rows, got {len(self.rows)}")
         for u, row in enumerate(self.rows):
@@ -337,13 +339,14 @@ def all_plus(n: int) -> Coloring:
 
 
 class BicoloredGraph(_Record):
-    """A graph together with a coloring in {-1, +1} per vertex."""
+    """A graph together with a coloring in {-1, +1} per vertex, stored as a tuple."""
 
     __slots__ = ("graph", "coloring")
     graph: Graph
     coloring: Coloring
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "coloring", tuple(self.coloring))
         if len(self.coloring) != self.graph.n:
             raise ValueError(
                 f"coloring has {len(self.coloring)} entries for {self.graph.n} vertices"
@@ -356,10 +359,6 @@ class BicoloredGraph(_Record):
 # -- the calculus ------------------------------------------------------
 
 
-# _BYTE_BITS[b]: the positions of the set bits of the byte b, in increasing order
-_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
-
-
 def replay(rows: Sequence[int], w: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     """Replay ``w`` on adjacency ``rows``; return (flip mask, final rows).
 
@@ -370,14 +369,10 @@ def replay(rows: Sequence[int], w: Iterable[int]) -> tuple[int, tuple[int, ...]]
     a single row operation per neighbour.  That also toggles the
     neighbour's own diagonal bit, so while the word runs the diagonal is
     don't-care: a letter drops its own bit from ``nb``, and at the end the
-    diagonal, which then equals the flip mask, is cleared in one pass.
+    diagonal, which then equals the flip mask, is cleared by peeling it.
 
-    The neighbours of a letter are decoded by density.  With at least one
-    neighbour per 8 bytes of row, ``nb`` is walked byte by byte through a
-    256-entry table of bit offsets, O(n/8) small steps per letter.  A
-    sparser ``nb`` is peeled from its highest bit down, one shift and one
-    XOR of a shrinking mask per neighbour; a byte walk there would cost
-    O(n/8) per letter for a handful of neighbours.  Either way a letter
+    The neighbours of a letter are peeled from ``nb``'s highest bit down,
+    one shift and one XOR of a shrinking mask per neighbour, so a letter
     costs O(deg a) row operations of O(n/64) machine words each.  Raises
     :class:`ValueError` on a letter outside ``0..n-1``.
 
@@ -410,7 +405,6 @@ def replay(rows: Sequence[int], w: Iterable[int]) -> tuple[int, tuple[int, ...]]
       involution) give the remainders for r = 4 and 5.
     """
     n = len(rows)
-    nbytes = (n + 7) >> 3
     out = list(rows)
     flipped = 0
     w = tuple(w)
@@ -441,25 +435,17 @@ def replay(rows: Sequence[int], w: Iterable[int]) -> tuple[int, tuple[int, ...]]
             if nb >> a & 1:
                 nb ^= 1 << a
             flipped ^= nb
-            if nb.bit_count() * 8 >= nbytes:
-                base = 0
-                for byte in nb.to_bytes(nbytes, "little"):
-                    if byte:
-                        for i in _BYTE_BITS[byte]:
-                            out[base + i] ^= nb
-                    base += 8
-            else:
-                m = nb
-                while m:
-                    top = m.bit_length() - 1
-                    out[top] ^= nb
-                    m ^= 1 << top
-    base = 0
-    for byte in flipped.to_bytes(nbytes, "little"):
-        if byte:
-            for i in _BYTE_BITS[byte]:
-                out[base + i] ^= 1 << (base + i)
-        base += 8
+            m = nb
+            while m:
+                top = m.bit_length() - 1
+                out[top] ^= nb
+                m ^= 1 << top
+    m = flipped
+    while m:
+        top = m.bit_length() - 1
+        bit = 1 << top
+        out[top] ^= bit
+        m ^= bit
     return flipped, tuple(out)
 
 

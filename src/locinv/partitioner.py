@@ -52,7 +52,7 @@ def p3_partition(rows: Sequence[int], tree: int, root: int) -> tuple[tuple[tuple
     then the layer above.  The root keeps its largest child, which forms the
     final edge.
     """
-    if tree >> len(rows) or not tree >> root & 1:
+    if tree >> len(rows) or root < 0 or not tree >> root & 1:
         raise ValueError(f"the tree mask must lie inside 0..{len(rows) - 1} and hold the root {root}")
     layers = list(bfs_layers(rows, root, tree))
     degrees = 0
@@ -90,6 +90,8 @@ def _odd_spanning_rows(rows: Sequence[int], within: int) -> list[int]:
     has no cycle.  The result has one row per entry of ``rows``; rows
     outside ``within`` stay 0.
     """
+    if within >> len(rows):  # also true for a negative mask
+        raise ValueError(f"the vertex mask must lie inside 0..{len(rows) - 1}")
     k = within.bit_count()
     if k < 2 or k % 2 == 1:
         raise ValueError(f"need an even vertex count >= 2, got {k}")
@@ -133,11 +135,11 @@ def _swap_chord(f: list[int], u: int, v: int) -> None:
 def perfect_forest(rows: Sequence[int], within: int) -> list[int]:
     """Perfect forest of the subgraph of ``rows`` induced by ``within``, one mask per tree.
 
-    The subgraph must be connected with an even vertex count, or
-    :class:`ValueError` is raised.  The forest is a list of rows, one
-    neighbour bitmask per vertex, and starts as :func:`_odd_spanning_rows`,
-    which is acyclic with every degree odd.  A worklist holds vertex masks,
-    each split into forest components by
+    The mask must lie inside ``0..len(rows)-1`` and the subgraph must be
+    connected with an even vertex count, or :class:`ValueError` is raised.
+    The forest is a list of rows, one neighbour bitmask per vertex, and
+    starts as :func:`_odd_spanning_rows`, which is acyclic with every degree
+    odd.  A worklist holds vertex masks, each split into forest components by
     :func:`locinv.graph_core.component_masks`.  A component with a chord (a
     graph edge between two of its vertices that is not a forest edge) takes
     its lexicographically first chord in place of the tree path between the

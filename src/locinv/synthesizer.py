@@ -71,7 +71,8 @@ class CertifiedWord(_Record):
 
     ``word`` flips exactly ``target_flip`` and restores the underlying
     graph; ``len(word) <= bound`` always holds, and ``construction`` names
-    the synthesis path that produced it.  Builders return the word freely
+    the synthesis path that produced it.  The word is stored as a tuple and
+    the target as a frozenset.  Builders return the word freely
     reduced: every letter is an involution, so cancelling two equal
     neighbours never changes what the word certifies.
     """
@@ -83,6 +84,8 @@ class CertifiedWord(_Record):
     construction: str
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "word", tuple(self.word))
+        object.__setattr__(self, "target_flip", frozenset(self.target_flip))
         if len(self.word) > self.bound:
             raise BoundExceededError(
                 f"{self.construction}: word of length {len(self.word)} exceeds bound {self.bound}",

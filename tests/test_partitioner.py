@@ -244,6 +244,23 @@ def test_perfect_forest_preconditions():
         _forest(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda rows: perfect_forest(rows, 0b110000), "the vertex mask must lie inside 0..3"),
+        (lambda rows: perfect_forest(rows, -1), "the vertex mask must lie inside 0..3"),
+        (lambda rows: perfect_forest(rows, 0b1111 | 1 << 10), "the vertex mask must lie inside 0..3"),
+        (lambda rows: p3_partition(rows, 0b11, -1), "the tree mask must lie inside 0..3 and hold the root -1"),
+    ],
+    ids=["forest-mask-past-rows", "forest-negative-mask", "forest-mask-reaching-past-rows", "partition-negative-root"],
+)
+def test_decompositions_refuse_vertices_outside_the_rows(call, message):
+    # a range check, not an IndexError, a vertex count or "negative shift count"
+    with pytest.raises(ValueError) as exc:
+        call(Graph.path(4).rows)
+    assert str(exc.value) == message
+
+
 def test_perfect_forest_matches_reference_on_all_small_graphs():
     # every labeled connected graph on 2, 4 or 6 vertices
     count = 0

@@ -8,7 +8,7 @@ sparse and dense, so the digests guard deep breadth-first layers and long
 chord swaps of the perfect forest letter for letter, where
 ``words_pinned.jsonl`` stops at 40 vertices.  A slow test pins two sparse
 graphs of 16,384 vertices the same way, read back through the edge-list
-parser; their replays run on the sparse decode of :func:`graph_core.replay`.
+parser; their rows hold a handful of neighbours in 2,048 bytes each.
 
 Regenerate the file (only when a change of words is intended and stated)
 with ``PYTHONPATH=src:tests python tests/test_words_pinned_large.py >
