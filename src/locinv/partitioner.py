@@ -169,7 +169,7 @@ def perfect_forest(rows: Sequence[int], within: int) -> list[int]:
             else:
                 done.append(comp)
 
-    done.sort(key=lambda c: c & -c)
+    done.sort(key=lambda c: (c & -c).bit_length())
     for comp in done:
         degrees = 0
         for u in iter_bits(comp):

@@ -27,21 +27,23 @@ Building blocks (lengths in letters):
 On top of those: whole-graph color reversal within 4n-4 (n even) or 4n-3
 (n odd) letters per connected component, arbitrary recoloring within
 floor((11n-3)/2) letters (and at most 4n), and explicit 3n-letter words
-for stars and complete graphs.
+for stars and complete graphs.  A color reversal is the recoloring whose
+flip set is every vertex, so both tasks build their word in one place,
+``_flip_set_word``, which picks each piece's word by its shape.
 
 Each construction has one private row core that takes the host graph's
 adjacency rows and its vertex sets as ``int`` masks, from the component
 split (:func:`locinv.graph_core.component_masks`) down to the gadgets:
 ``_vertex_gadget``, ``_odd_tree_word``, ``_even_subgraph_word``,
-``_odd_subgraph_word``, ``_reverse_component_word`` and
-``_flip_set_word``.  The cores trust their inputs and call each other
-directly.  An anchored word (odd tree, even subgraph) always ends
-with its anchor; the odd-subgraph splice that needs a word starting with
-the shared letter runs its triangle gadget reversed, which is the
-gadget's inverse and flips the same vertex.  The public entry points are
-:func:`color_reversal_word`, :func:`transform_word`, :func:`star_word`,
-:func:`complete_word`, the gadgets and :func:`verify_certificate`.  A
-``frozenset`` is built only for the public :attr:`CertifiedWord.target_flip`.
+``_odd_subgraph_word`` and ``_flip_set_word``.  The cores trust their
+inputs and call each other directly.  An anchored word (odd tree, even
+subgraph) always ends with its anchor; the odd-subgraph splice that needs
+a word starting with the shared letter runs its triangle gadget reversed,
+which is the gadget's inverse and flips the same vertex.  The public entry
+points are :func:`color_reversal_word`, :func:`transform_word`,
+:func:`star_word`, :func:`complete_word`, the gadgets and
+:func:`verify_certificate`.  A ``frozenset`` is built only for the public
+:attr:`CertifiedWord.target_flip`.
 """
 
 from __future__ import annotations
@@ -243,92 +245,28 @@ def _odd_subgraph_word(rows: Sequence[int], within: int) -> Word:
     return w2[:-1] + w1[1:]
 
 
-# -- whole-graph color reversal -------------------------------------------
-
-
-def _reverse_component_word(rows: Sequence[int], comp: int) -> Word:
-    """Reversal word of the connected piece on the mask ``comp``, of order >= 2.
-
-    A pair takes itself, valid only as a whole component; three vertices
-    take the 9-letter piece word of the module docstring.  Every other
-    word holds in any host.
-    """
-    m = comp.bit_count()
-    if m == 2:
-        return tuple(iter_bits(comp))
-    if m == 3:
-        p, q, r = iter_bits(comp)
-        if (rows[p] >> q) & (rows[p] >> r) & (rows[q] >> r) & 1:
-            return (p, q, p, q, r, q, r, p, r)
-        c = next(v for v in (p, q, r) if (rows[v] & comp).bit_count() == 2)
-        a, b = iter_bits(comp ^ (1 << c))
-        return (a, c, a, b, a, b, c, b, c)
-    if m % 2 == 0:
-        return _even_subgraph_word(rows, comp, (comp & -comp).bit_length() - 1)
-    return _odd_subgraph_word(rows, comp)
-
-
-def _certify(
-    g: Graph, parts: list[int], target: frozenset, bound: int, tag: str, what: str, instance: dict
-) -> CertifiedWord:
-    """Reduce ``parts`` and certify the word on ``g``: the builders' one bound check.
-
-    A word over ``bound`` raises :class:`BoundExceededError` before any record
-    is built; its witness (``n``, ``edges``, ``instance``, ``word``) reruns the call.
-    """
-    word = reduce_word(parts)
-    if len(word) > bound:
-        raise BoundExceededError(
-            f"{what} of length {len(word)} exceeds bound {bound}",
-            witness={"n": g.n, "edges": g.edges(), **instance, "word": word},
-        )
-    cw = CertifiedWord(word, target, bound, tag)
-    verify_certificate(g, cw)
-    return cw
-
-
-def color_reversal_word(g: Graph) -> CertifiedWord:
-    """Word flipping every vertex of ``g`` and restoring ``g``.
-
-    Per connected component: the vertex pair of a K2, the 3-vertex piece
-    word, an even subgraph reversal, or an odd subgraph reversal.  The
-    certified bound is 4n-4 for a connected even-order graph, 4n-3 for odd
-    order, and 4n-3t for t >= 2 components.  Isolated vertices make the
-    task unsatisfiable.  The joined word is freely reduced and checked by
-    :func:`_certify`, so a word over the bound raises
-    :class:`BoundExceededError` with the graph in its witness.
-    """
-    for v in range(g.n):
-        if g.rows[v] == 0:
-            raise UnsatisfiableError(f"vertex {v} is isolated; its color is invariant")
-    comps = component_masks(g.rows, (1 << g.n) - 1)
-    parts: list[int] = []
-    for comp in comps:
-        parts.extend(_reverse_component_word(g.rows, comp))
-    if len(comps) <= 1:
-        bound = 0 if g.n == 0 else (4 * g.n - 4 if g.n % 2 == 0 else 4 * g.n - 3)
-    else:
-        bound = 4 * g.n - 3 * len(comps)
-    return _certify(g, parts, frozenset(range(g.n)), bound, "full-reversal", "full-reversal: word", {})
-
-
-# -- recoloring -------------------------------------------------------------
+# -- flip sets and whole-graph color reversal -----------------------------
 
 
 def _flip_set_word(rows: Sequence[int], s: int) -> Word:
     """Word flipping exactly the vertex mask ``s``, choosing cheap gadgets per shape.
 
-    Each component of the induced subgraph on ``s`` is one of three cases.
-    A 2-vertex piece with a neighbor outside it takes the edge gadget.  Any
-    other piece of two or more vertices takes its reversal word, which holds
-    in any host.  A vertex isolated in the induced subgraph takes the
-    one-letter word of a pendant neighbor when it has one; the others are
-    pending: two that share a neighbor pair up into one 8-letter path-ends
-    gadget, cheaper than two 7-letter single flips (the lowest pending
-    vertex pairs with the first later one that shares a neighbor, and the
-    gadget is centred on their lowest common neighbor), and the rest take
-    :func:`_vertex_gadget`, which always finds a triangle or an induced
-    path: a pending vertex has neighbors, none of degree 1.
+    The one word builder of both tasks: a color reversal flips every
+    vertex of each host component.  Each component of the induced subgraph
+    on ``s`` is a piece.  A pair takes itself when it is a whole K2
+    component, the only host where the pair word is valid, and the edge
+    gadget when it has a neighbor outside it.  Three vertices take the
+    piece word of the module docstring, and larger pieces
+    :func:`_even_subgraph_word` or :func:`_odd_subgraph_word` by parity;
+    these words hold in any host.  A vertex isolated in the induced
+    subgraph takes the one-letter word of a pendant neighbor when it has
+    one; the others are pending: two that share a neighbor pair up into
+    one 8-letter path-ends gadget, cheaper than two 7-letter single flips
+    (the lowest pending vertex pairs with the first later one that shares
+    a neighbor, and the gadget is centred on their lowest common
+    neighbor), and the rest take :func:`_vertex_gadget`, which always
+    finds a triangle or an induced path: a pending vertex has neighbors,
+    none of degree 1.
 
     At most 4 letters per vertex of each host component C that ``s``
     touches, charged to C's vertices: a piece of order m >= 2 costs at
@@ -349,10 +287,21 @@ def _flip_set_word(rows: Sequence[int], s: int) -> Word:
         m = comp.bit_count()
         if m == 1:
             isolates |= comp
-        elif m == 2 and any(rows[v] & ~comp for v in iter_bits(comp)):
-            parts.extend(gadget_edge(*iter_bits(comp)))
+        elif m == 2:
+            a, b = iter_bits(comp)
+            parts.extend(gadget_edge(a, b) if (rows[a] | rows[b]) & ~comp else (a, b))
+        elif m == 3:
+            p, q, r = iter_bits(comp)
+            if (rows[p] >> q) & (rows[p] >> r) & (rows[q] >> r) & 1:
+                parts.extend((p, q, p, q, r, q, r, p, r))
+            else:
+                c = next(v for v in (p, q, r) if (rows[v] & comp).bit_count() == 2)
+                a, b = iter_bits(comp ^ (1 << c))
+                parts.extend((a, c, a, b, a, b, c, b, c))
+        elif m % 2 == 0:
+            parts.extend(_even_subgraph_word(rows, comp, (comp & -comp).bit_length() - 1))
         else:
-            parts.extend(_reverse_component_word(rows, comp))
+            parts.extend(_odd_subgraph_word(rows, comp))
 
     pending = 0
     for u in iter_bits(isolates):
@@ -379,6 +328,56 @@ def _flip_set_word(rows: Sequence[int], s: int) -> Word:
     return tuple(parts)
 
 
+def _certify(
+    g: Graph, flip: int, target: frozenset, comps: list[int], bound: int, tag: str, what: str, instance: dict
+) -> CertifiedWord:
+    """Certify the reduced word of :func:`_flip_set_word` on ``flip & comp`` for each of ``comps``.
+
+    The builders' one bound check: a word over ``bound`` raises
+    :class:`BoundExceededError` before any record is built; its witness
+    (``n``, ``edges``, ``instance``, ``word``) reruns the call.
+    """
+    parts: list[int] = []
+    for comp in comps:
+        parts.extend(_flip_set_word(g.rows, flip & comp))
+    word = reduce_word(parts)
+    if len(word) > bound:
+        raise BoundExceededError(
+            f"{what} of length {len(word)} exceeds bound {bound}",
+            witness={"n": g.n, "edges": g.edges(), **instance, "word": word},
+        )
+    cw = CertifiedWord(word, target, bound, tag)
+    verify_certificate(g, cw)
+    return cw
+
+
+def color_reversal_word(g: Graph) -> CertifiedWord:
+    """Word flipping every vertex of ``g`` and restoring ``g``.
+
+    Each connected component is one piece of :func:`_flip_set_word`: a K2
+    takes its vertex pair, three vertices the 3-vertex piece word, and
+    larger components an even or odd subgraph reversal.  The certified
+    bound is 4n-4 for a connected even-order graph, 4n-3 for odd order,
+    and 4n-3t for t >= 2 components.  Isolated vertices make the task
+    unsatisfiable.  The joined word is freely reduced and checked by
+    :func:`_certify`, so a word over the bound raises
+    :class:`BoundExceededError` with the graph in its witness.
+    """
+    for v in range(g.n):
+        if g.rows[v] == 0:
+            raise UnsatisfiableError(f"vertex {v} is isolated; its color is invariant")
+    full = (1 << g.n) - 1
+    comps = component_masks(g.rows, full)
+    if len(comps) <= 1:
+        bound = 0 if g.n == 0 else (4 * g.n - 4 if g.n % 2 == 0 else 4 * g.n - 3)
+    else:
+        bound = 4 * g.n - 3 * len(comps)
+    return _certify(g, full, frozenset(range(g.n)), comps, bound, "full-reversal", "full-reversal: word", {})
+
+
+# -- recoloring -------------------------------------------------------------
+
+
 def transform_word(g: Graph, from_colors: Sequence[int], to_colors: Sequence[int]) -> CertifiedWord:
     """Word turning the coloring ``from_colors`` into ``to_colors`` on ``g``.
 
@@ -399,13 +398,9 @@ def transform_word(g: Graph, from_colors: Sequence[int], to_colors: Sequence[int
             raise UnsatisfiableError(f"vertex {v} is isolated but must change color")
 
     comps = component_masks(g.rows, (1 << g.n) - 1)
-    parts: list[int] = []
-    for comp in comps:
-        parts.extend(_flip_set_word(g.rows, diff_all & comp))
-
     bound = (11 * g.n - 3 * len(comps)) // 2
     return _certify(
-        g, parts, frozenset(iter_bits(diff_all)), bound, "transform/fix-V1",
+        g, diff_all, frozenset(iter_bits(diff_all)), comps, bound, "transform/fix-V1",
         "transform word", {"from": tuple(from_colors), "to": tuple(to_colors)},
     )
 

@@ -268,17 +268,36 @@ def vertex_gadget_reference(rows, a: int, allowed: int):
 
 
 def flip_set_word_reference(rows, s: int):
-    """``_flip_set_word`` with the isolate pairing as a scan over the later pending vertices."""
+    """``_flip_set_word`` with the isolate pairing as a scan over the later pending vertices.
+
+    The pieces of two or three vertices are spelled out from the rule:
+    a whole K2 takes its pair, a pair with an outside neighbor the edge
+    gadget, a triangle p < q < r the word ``p,q,p,q,r,q,r,p,r`` and a path
+    with ends a < b and centre c the word ``a,c,a,b,a,b,c,b,c``.
+    """
     parts: list[int] = []
     isolates = 0
     for comp in component_masks(rows, s):
-        m = comp.bit_count()
-        if m == 1:
+        vs = list(iter_bits(comp))
+        if len(vs) == 1:
             isolates |= comp
-        elif m == 2 and any(rows[v] & ~comp for v in iter_bits(comp)):
-            parts.extend(synth.gadget_edge(*iter_bits(comp)))
+        elif len(vs) == 2:
+            a, b = vs
+            whole = rows[a] == 1 << b and rows[b] == 1 << a
+            parts.extend((a, b) if whole else synth.gadget_edge(a, b))
+        elif len(vs) == 3:
+            centres = [c for c in vs if all((rows[c] >> x) & 1 for x in vs if x != c)]
+            if len(centres) == 3:
+                p, q, r = vs
+                parts.extend((p, q, p, q, r, q, r, p, r))
+            else:
+                (c,) = centres
+                a, b = (x for x in vs if x != c)
+                parts.extend((a, c, a, b, a, b, c, b, c))
+        elif len(vs) % 2 == 0:
+            parts.extend(synth._even_subgraph_word(rows, comp, vs[0]))
         else:
-            parts.extend(synth._reverse_component_word(rows, comp))
+            parts.extend(synth._odd_subgraph_word(rows, comp))
     pending = 0
     for u in iter_bits(isolates):
         x = synth._pendant_neighbor(rows, u)

@@ -524,8 +524,7 @@ def _p4_argv(command, path):
 
 def _drop_a_letter(monkeypatch):
     """Make both builders emit words one letter short of a valid certificate."""
-    reverse, flip_set = synth._reverse_component_word, synth._flip_set_word
-    monkeypatch.setattr(synth, "_reverse_component_word", lambda g, comp: reverse(g, comp)[:-1])
+    flip_set = synth._flip_set_word
     monkeypatch.setattr(synth, "_flip_set_word", lambda rows, s: flip_set(rows, s)[:-1])
 
 
@@ -547,8 +546,7 @@ import sys
 import locinv.synthesizer as synth
 from locinv.cli import main
 
-reverse, flip_set = synth._reverse_component_word, synth._flip_set_word
-synth._reverse_component_word = lambda g, comp: reverse(g, comp)[:-1]
+flip_set = synth._flip_set_word
 synth._flip_set_word = lambda rows, s: flip_set(rows, s)[:-1]
 path = sys.argv[1]
 codes = [__debug__]
@@ -614,14 +612,15 @@ def test_a_false_certificate_is_reported_under_optimize_flag(tmp_path):
 
 # -- a word over its bound on the command line ---------------------------------------
 
-# P3 with a reversal word built twice over (18 letters, bound 9) and a
-# transform word built four times over (24 letters, bound 15); the second
-# line of each is the witness, as JSON
+# P3 with each word built four times over: the reversal word has 36
+# letters (bound 9) and the transform word 24 (bound 15); the second line
+# of each is the witness, as JSON
 P3_BOUND_VIOLATIONS = {
     "reverse": (
-        "bound violation: full-reversal: word of length 18 exceeds bound 9\n"
+        "bound violation: full-reversal: word of length 36 exceeds bound 9\n"
         '{"witness": {"n": 3, "edges": [[0, 1], [1, 2]], '
-        '"word": [0, 1, 0, 2, 0, 2, 1, 2, 1, 0, 1, 0, 2, 0, 2, 1, 2, 1]}}\n'
+        '"word": [0, 1, 0, 2, 0, 2, 1, 2, 1, 0, 1, 0, 2, 0, 2, 1, 2, 1, '
+        '0, 1, 0, 2, 0, 2, 1, 2, 1, 0, 1, 0, 2, 0, 2, 1, 2, 1]}}\n'
     ),
     "transform": (
         "bound violation: transform word of length 24 exceeds bound 15\n"
@@ -633,9 +632,8 @@ P3_COLORS = {"reverse": [], "transform": ["--from=+++", "--to=+--"]}
 
 
 def _repeat_words(monkeypatch):
-    """Make the reversal builder emit its word twice and the transform builder four times."""
-    reverse, flip_set = synth._reverse_component_word, synth._flip_set_word
-    monkeypatch.setattr(synth, "_reverse_component_word", lambda g, comp: reverse(g, comp) * 2)
+    """Make both builders emit their words four times over."""
+    flip_set = synth._flip_set_word
     monkeypatch.setattr(synth, "_flip_set_word", lambda rows, s: flip_set(rows, s) * 4)
 
 
@@ -654,8 +652,7 @@ import sys
 import locinv.synthesizer as synth
 from locinv.cli import main
 
-reverse, flip_set = synth._reverse_component_word, synth._flip_set_word
-synth._reverse_component_word = lambda g, comp: reverse(g, comp) * 2
+flip_set = synth._flip_set_word
 synth._flip_set_word = lambda rows, s: flip_set(rows, s) * 4
 path = sys.argv[1]
 codes = [__debug__]

@@ -140,9 +140,8 @@ def test_faulty_builder_is_reported_not_raised(graph_path, case, data, transform
         argv[0] = "transform"
         argv += color_option("--from", data.draw(colors_for(n)), True)
         argv += color_option("--to", data.draw(colors_for(n)), True)
-    reverse, flip_set = synth._reverse_component_word, synth._flip_set_word
+    flip_set = synth._flip_set_word
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(synth, "_reverse_component_word", lambda g, comp: reverse(g, comp)[:-1])
         mp.setattr(synth, "_flip_set_word", lambda rows, s: flip_set(rows, s)[:-1])
         code, err = run_main(argv + ["--verify"] * verify)
     if "verification" in err:

@@ -142,11 +142,11 @@ def test_p3_gadgets_compose_by_symmetric_difference():
 
 def test_base_case_words():
     k2 = Graph.complete(2)
-    assert synth._reverse_component_word(k2.rows, 0b11) == (0, 1)
+    assert synth._flip_set_word(k2.rows, 0b11) == (0, 1)
     certify(k2, (0, 1), range(2), 2)
 
     k3 = Graph.complete(3)
-    word = synth._reverse_component_word(k3.rows, 0b111)
+    word = synth._flip_set_word(k3.rows, 0b111)
     assert word == (0, 1, 0, 1, 2, 1, 2, 0, 2)
     certify(k3, word, range(3), 9)
 
@@ -158,7 +158,7 @@ def test_base_case_words():
         (2, (0, 2, 0, 1, 0, 1, 2, 1, 2)),
     ]:
         p3 = Graph.from_edges(3, [(centre, v) for v in range(3) if v != centre])
-        assert synth._reverse_component_word(p3.rows, 0b111) == word
+        assert synth._flip_set_word(p3.rows, 0b111) == word
         certify(p3, word, range(3), 9)
 
 
@@ -185,10 +185,9 @@ def test_three_vertex_words_hold_in_every_attachment_host(shape, ids):
         edges += [(outside[k], ids[i]) for i in range(3) if (attach >> i) & 1]
     g = Graph.from_edges(n, edges)
     piece = sum(1 << v for v in ids)
-    word = synth._reverse_component_word(g.rows, piece)
+    word = synth._flip_set_word(g.rows, piece)
     assert len(word) == 9 and set(word) == set(ids)
     assert replay(g.rows, word) == (piece, g.rows)
-    assert synth._flip_set_word(g.rows, piece) == word
 
 
 # -- single-vertex flips -----------------------------------------------------------
@@ -519,6 +518,40 @@ def test_transform_identity_and_full_reversal():
     assert apply_word(BicoloredGraph(g, same), cw.word) == BicoloredGraph(g, neg)
 
 
+def test_reversal_is_the_recoloring_of_every_vertex():
+    # both builders flip through _flip_set_word, so reversing every color
+    # and recoloring all-plus to all-minus give the same word: on every
+    # connected class up to 6 vertices, and on seeded relabelled unions of
+    # a K2, a P3 and up to three random connected pieces
+    from locinv.oracle import connected_graphs
+
+    graphs = [g for n in range(2, 7) for g in connected_graphs(n)]
+    rng = random.Random(0x2EF)
+    for _ in range(60):
+        pieces = [Graph.complete(2), Graph.path(3)]
+        pieces += [random_connected_graph(rng, rng.randint(2, 9)) for _ in range(rng.randint(0, 3))]
+        n = sum(p.n for p in pieces)
+        labels = rng.sample(range(n), n)
+        edges, offset = [], 0
+        for p in pieces:
+            edges += [(labels[offset + u], labels[offset + v]) for u, v in p.edges()]
+            offset += p.n
+        graphs.append(Graph.from_edges(n, edges))
+    for g in graphs:
+        plus = all_plus(g.n)
+        minus = tuple(-c for c in plus)
+        assert transform_word(g, plus, minus).word == color_reversal_word(g).word, g.edges()
+
+    # the pair rule: a whole K2 takes its pair, a K2 piece with a neighbor
+    # outside it the edge gadget
+    g = Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)])
+    assert synth._flip_set_word(g.rows, 0b00011) == (0, 1)
+    assert synth._flip_set_word(g.rows, 0b01100) == gadget_edge(2, 3)
+    cw = transform_word(g, all_plus(5), (-1, -1, -1, -1, 1))
+    assert cw.word == (0, 1) + gadget_edge(2, 3)
+    verify_certificate(g, cw)
+
+
 def test_transform_random():
     rng = random.Random(83)
     for _ in range(100):
@@ -797,8 +830,8 @@ def test_verify_certificate_error_paths():
 
 
 def test_color_reversal_word_checks_its_own_word(monkeypatch):
-    real = synth._reverse_component_word
-    monkeypatch.setattr(synth, "_reverse_component_word", lambda g, comp: real(g, comp)[:-1])
+    real = synth._flip_set_word
+    monkeypatch.setattr(synth, "_flip_set_word", lambda rows, s: real(rows, s)[:-1])
     with pytest.raises(VerificationError):
         color_reversal_word(Graph.path(5))
 
@@ -815,8 +848,7 @@ def test_both_builders_raise_a_witness_that_rebuilds_the_call(monkeypatch):
     # record's own witness (word and bound only) never reaches a caller
     g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
     old, new = (1, 1, 1, 1, 1, 1), (-1, 1, 1, -1, -1, 1)
-    reverse, flip_set = synth._reverse_component_word, synth._flip_set_word
-    monkeypatch.setattr(synth, "_reverse_component_word", lambda rows, comp: reverse(rows, comp) * 2)
+    flip_set = synth._flip_set_word
     monkeypatch.setattr(synth, "_flip_set_word", lambda rows, s: flip_set(rows, s) * 4)
     for build, args, instance in (
         (color_reversal_word, (g,), {}),
@@ -847,8 +879,8 @@ for cw in (good, tampered):
         seen.append("holds")
     except VerificationError:
         seen.append("rejected")
-real = synth._reverse_component_word
-synth._reverse_component_word = lambda g, comp: real(g, comp)[:-1]
+real = synth._flip_set_word
+synth._flip_set_word = lambda rows, s: real(rows, s)[:-1]
 try:
     synth.color_reversal_word(g)
     seen.append("returned")
